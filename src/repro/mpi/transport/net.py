@@ -239,8 +239,9 @@ class FramedSocket:
         blob = json.dumps(obj, separators=(",", ":")).encode("utf-8")
         try:
             self._sock.settimeout(None)
-            self._sock.sendall(_LEN.pack(len(blob)))
-            self._sock.sendall(blob)
+            # One write: a peer reading the short reply with a single
+            # recv() gets the whole frame, not just its length prefix.
+            self._sock.sendall(_LEN.pack(len(blob)) + blob)
         except (OSError, ValueError) as exc:
             raise LinkClosed(f"socket send failed: {exc}") from None
 

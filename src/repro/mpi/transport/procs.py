@@ -8,10 +8,12 @@ surface the communicator, drivers, and checkpoint store use.  The
 *world* itself — mailboxes, split/shrink rendezvous, rank status, the
 node-local store, and the sanitizer — stays in the master process,
 which is the single source of truth exactly like an MPI runtime daemon.
-Everything above the wire (the worker context, the observability
-shards, the master's RPC dispatch and lifecycle barrier) lives in
+Everything above the wire — the worker context, RPC channel, send
+pump, observability shards, and the master hub's launch/serve/reap
+lifecycle and drain barrier — lives in
 :mod:`~repro.mpi.transport.worldproxy` and is shared with the sockets
-backend; this module owns only the pipes-and-rings wire.
+backend; this module supplies only the pipes-and-rings wire: the
+:class:`_PipeEnd` framing, the per-worker :class:`_Link`, and the fork.
 
 Wire layout per worker (all created *before* the fork so both sides
 share the mappings):
@@ -27,7 +29,8 @@ share the mappings):
 The master runs two service threads per worker: a *data* thread
 draining fire-and-forget deliveries into the destination mailbox (its
 EOF is how a hard-died worker is detected and surfaced to partners as
-:class:`~repro.errors.RankFailedError`), and a *control* thread
+:class:`~repro.errors.RankFailedError`; a ring failure instead becomes
+the rank's own error), and a *control* thread
 serving blocking RPCs — including the canonical blocked-receive
 protocol with failed-partner fast-fail, revocation checks, and the
 sanitizer's wait-for-graph bookkeeping, all of which therefore behave
@@ -67,229 +70,110 @@ shards.
 from __future__ import annotations
 
 import multiprocessing
-import queue
-import threading
-from typing import Any
 
-from ...errors import CommunicatorError, RankFailedError, WorldAbortedError
-from ..context import Envelope
+from ...errors import CommunicatorError
 from .base import Transport
-from .codec import (
-    decode_exception,
-    decode_origin,
-    encode_exception,
-    encode_origin,
-    join_arrays,
-    prepare_arrays,
-    split_arrays,
-)
+from .net import LinkClosed, LinkTimeout
 from .shm import DEFAULT_RING_BYTES, ShmRing, recv_arrays, send_arrays
-from .threads import WORLD_COMM_ID
-from .worldproxy import SendToken, WorkerConfig, WorldServerMixin, run_worker
+from .worldproxy import Channel, Link, SendPump, WorldServerMixin, run_worker
 
 __all__ = ["ProcessTransport"]
 
 
-# ----------------------------------------------------------------------
-# Per-worker plumbing bundle
-# ----------------------------------------------------------------------
-class _Link:
-    """Everything one worker shares with the master; built pre-fork."""
+class _PipeEnd:
+    """One side of a pipe and its rings, framed like a ``FramedSocket``.
 
-    def __init__(self, rank: int, ring_bytes: int, mp_ctx) -> None:
-        self.rank = rank
-        self.ctl_master, self.ctl_worker = mp_ctx.Pipe(duplex=True)
-        # One-way delivery headers: (recv end, send end).
-        self.data_master, self.data_worker = mp_ctx.Pipe(duplex=False)
-        self.data_ring = ShmRing(ring_bytes)   # worker -> master payloads
-        self.ctl_ring = ShmRing(ring_bytes)    # worker -> master RPC args
-        self.reply_ring = ShmRing(ring_bytes)  # master -> worker replies
-        # Master-side: serializes RPC replies with out-of-band pushes on
-        # the control pipe, and tracks delivery drain for the lifecycle
-        # barrier.
-        self.send_lock = threading.Lock()
-        self.put_cond = threading.Condition()
-        self.puts_received = 0
-        # Set when a replacement superseded this link: its EOF is then
-        # expected teardown of the dead incarnation, not a new death,
-        # and must not fail the rank the replacement now occupies.
-        self.replaced = False
-
-    @staticmethod
-    def _close(conns) -> None:
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-
-    def close_worker_ends(self) -> None:
-        self._close((self.ctl_worker, self.data_worker))
-
-    def close_master_ends(self) -> None:
-        self._close((self.ctl_master, self.data_master))
-
-    def close_all_conns(self) -> None:
-        self.close_worker_ends()
-        self.close_master_ends()
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-class _Channel:
-    """Worker-side RPC client over the control pipe and its two rings.
-
-    Single caller (the rank's main thread), so requests never
-    interleave; out-of-band abort/revoke pushes arriving while a reply
-    is awaited are applied and skipped.
+    ``send`` puts ``(header, descrs)`` on the pipe and the raw array
+    bytes into ``out_ring``; ``recv`` takes them back out of
+    ``in_ring``.  A closed pipe raises :class:`LinkClosed`; a ring
+    failure raises the ring's own :class:`CommunicatorError`.
     """
 
-    def __init__(self, conn, ctl_ring: ShmRing, reply_ring: ShmRing) -> None:
+    def __init__(self, conn, out_ring: ShmRing | None,
+                 in_ring: ShmRing | None) -> None:
         self._conn = conn
-        self._ctl_ring = ctl_ring
-        self._reply_ring = reply_ring
-        self.state = None  # the WorkerContext, set after construction
+        self._out = out_ring
+        self._in = in_ring
 
-    def call(self, method: str, *args) -> Any:
-        skeleton, arrays = split_arrays(args)
-        views, descrs = prepare_arrays(arrays)
+    def send(self, header, descrs: list = (), views: list = ()) -> None:
         try:
-            self._conn.send(("rpc", method, skeleton, descrs))
-            send_arrays(self._ctl_ring, views)
+            self._conn.send((header, list(descrs)))
         except (OSError, ValueError) as exc:
-            raise WorldAbortedError(
-                f"SPMD master is gone ({method} RPC failed: {exc})"
-            ) from None
-        while True:
-            try:
-                msg = self._conn.recv()
-            except (EOFError, OSError):
-                raise WorldAbortedError(
-                    f"SPMD master is gone (no reply to {method})"
-                ) from None
-            if msg[0] == "oob":
-                self.state.apply_oob(msg)
-                continue
-            break
-        if msg[0] == "err":
-            raise decode_exception(msg[1])
-        _, skeleton, descrs = msg
-        arrays = recv_arrays(self._reply_ring, descrs)
-        return join_arrays(skeleton, arrays)
+            raise LinkClosed(f"pipe send failed: {exc}") from None
+        if views:
+            send_arrays(self._out, views)
 
-    def drain_oob(self) -> None:
-        """Apply any queued abort/revoke pushes without blocking."""
+    def recv(self, timeout: float | None = None):
         try:
-            while self._conn.poll(0):
-                msg = self._conn.recv()
-                if msg[0] == "oob":
-                    self.state.apply_oob(msg)
-        except (EOFError, OSError):  # pragma: no cover - master gone
+            if timeout is not None and not self._conn.poll(timeout):
+                raise LinkTimeout("no frame within poll timeout")
+            header, descrs = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise LinkClosed(f"pipe closed: {exc}") from None
+        return header, recv_arrays(self._in, descrs) if descrs else []
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        try:
+            return self._conn.poll(timeout)
+        except (EOFError, OSError) as exc:
+            raise LinkClosed(f"pipe closed: {exc}") from None
+
+    def close(self) -> None:
+        try:
+            self._conn.close()
+        except OSError:  # pragma: no cover - already closed
             pass
 
 
-class _SendPump:
-    """Owns the worker's data path: a daemon thread draining a queue.
+class _Link(Link):
+    """Everything one worker shares with the master; built pre-fork.
 
-    ``deliver`` must not block the rank on ring backpressure (buffered-
-    send semantics: the payload is already snapshotted or frozen by
-    ``_deliver``), so sends are staged here and written FIFO.  The
-    returned event is the ``isend`` completion token — set once the
-    payload has fully entered the shared-memory ring.
+    A duplex ctl pipe with a ``ctl`` ring (worker→master RPC arguments)
+    and a ``reply`` ring (master→worker results), and a one-way data
+    pipe with a ``data`` ring (worker→master payloads).  ``ctl`` and
+    ``data`` are the master's ends; the worker's stay in
+    ``worker_ctl`` / ``worker_data`` until the fork hands them over.
     """
 
-    def __init__(self, conn, ring: ShmRing) -> None:
-        self._conn = conn
-        self._ring = ring
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self.sent = 0  # messages accepted; shipped with the lifecycle RPC
-        self.failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="spmd-send-pump"
-        )
-        self._thread.start()
+    def __init__(self, rank: int, ring_bytes: int, mp_ctx) -> None:
+        super().__init__(rank)
+        rings = {}
+        for role in ("data", "ctl", "reply"):
+            rings[role] = ShmRing(ring_bytes)
+            rings[role].label = f"rank {rank} {role} ring"
+        ctl_master, ctl_worker = mp_ctx.Pipe(duplex=True)
+        data_master, data_worker = mp_ctx.Pipe(duplex=False)
+        self.ctl = _PipeEnd(ctl_master, rings["reply"], rings["ctl"])
+        self.data = _PipeEnd(data_master, None, rings["data"])
+        self.worker_ctl = _PipeEnd(ctl_worker, rings["ctl"], rings["reply"])
+        self.worker_data = _PipeEnd(data_worker, rings["data"], None)
 
-    def enqueue(self, comm_id: int, dest_world: int, source: int, tag: int,
-                env: Envelope) -> threading.Event:
-        if self.failure is not None:
-            raise CommunicatorError(
-                f"shared-memory send path failed: {self.failure}"
-            )
-        skeleton, arrays = split_arrays(env.payload)
-        views, descrs = prepare_arrays(arrays)
-        meta = (env.send_time, env.moved, env.nbytes, env.seq, env.checksum,
-                encode_origin(env.origin))
-        header = ("put", comm_id, dest_world, source, tag, meta, skeleton,
-                  descrs)
-        token = SendToken()
-        self._queue.put((header, views, token))
-        self.sent += 1
-        return token
+    def close_worker_ends(self) -> None:
+        self.worker_ctl.close()
+        self.worker_data.close()
 
-    def enqueue_raw(self, header: tuple) -> None:
-        """Stage a non-delivery message (telemetry heartbeat) on the pump.
-
-        The data pipe is single-writer by construction — every write
-        goes through the pump thread — so heartbeats ride the same FIFO
-        as payload deliveries.  Raw messages carry no payload arrays
-        and do not count toward ``sent`` (the delivery-drain barrier
-        counts only ``"put"`` messages on both ends).
-        """
-        if self.failure is not None:
-            return  # telemetry is best-effort; the rank path reports it
-        self._queue.put((header, (), None))
-
-    def flush(self, timeout: float | None = None) -> None:
-        """Block until every frame staged so far shipped or failed.
-
-        Run before the lifecycle report so ``failure`` is
-        authoritative: without it a rank could finalize while the pump
-        thread is still discovering that its frames will never ship.
-        """
-        token = SendToken()
-        self._queue.put((None, (), token))
-        token.wait(timeout)
-
-    def _run(self) -> None:
-        while True:
-            header, views, token = self._queue.get()
-            err = self.failure
-            if err is None and header is not None:
-                try:
-                    self._conn.send(header)
-                    if views:
-                        send_arrays(self._ring, views)
-                except BaseException as exc:  # noqa: BLE001 - report once
-                    self.failure = err = exc
-            if token is not None:
-                # A frame that never shipped must not report a clean
-                # stage: the waiter re-raises the error instead.
-                token.error = err
-                token.set()
+    def wait_ready(self, deadline: float) -> bool:
+        # The fork already handed the worker its ends; the master drops
+        # its copies so each pipe end has exactly one owner and EOF
+        # detection works.
+        self.close_worker_ends()
+        return True
 
 
-def _worker_main(links: list, rank: int, fn, args, kwargs,
-                 cfg: WorkerConfig) -> None:
+def _worker_main(links: list, rank: int, fn, args, kwargs, cfg) -> None:
     """Entry point of a forked rank worker."""
     own = links[rank]
-    # fd hygiene: drop the inherited copies of every other worker's pipe
-    # ends and the master's copies of our own — EOF detection on both
-    # sides depends on each fd having exactly one owner.
+    # fd hygiene: drop the inherited master ends of every link and the
+    # worker ends of every other worker — EOF detection on both sides
+    # depends on each fd having exactly one owner.
     for link in links:
-        if link.rank == rank:
-            link.close_master_ends()
-        else:
-            link.close_all_conns()
-
-    channel = _Channel(own.ctl_worker, own.ctl_ring, own.reply_ring)
-    pump = _SendPump(own.data_worker, own.data_ring)
-    run_worker(cfg, rank, fn, args, kwargs, channel, pump)
+        link.close()
+        if link is not own:
+            link.close_worker_ends()
+    run_worker(cfg, rank, fn, args, kwargs, Channel(own.worker_ctl),
+               SendPump(own.worker_data))
 
 
-# ----------------------------------------------------------------------
-# Master side
-# ----------------------------------------------------------------------
 class ProcessTransport(WorldServerMixin, Transport):
     """Ranks as forked processes; the master hosts the world state."""
 
@@ -298,218 +182,40 @@ class ProcessTransport(WorldServerMixin, Transport):
 
     def __init__(self, *, ring_bytes: int = DEFAULT_RING_BYTES) -> None:
         self.ring_bytes = int(ring_bytes)
-        self._comm_members: dict[int, list[int]] = {}
-        self._members_lock = threading.Lock()
-        self._values: list = []
-        self._clocks: list = []
-        self._errors: list = []
 
-    # -- transport interface --------------------------------------------
-    def deliver(self, context, comm_id: int, dest_world: int, source: int,
-                tag: int, envelope) -> None:
-        # Master-side deliveries (none in normal operation) are local.
-        context.mailbox(comm_id, dest_world).put(source, tag, envelope)
-
-    def execute(self, context, fn, args: tuple, kwargs: dict):
+    # -- wire hooks of the master hub -----------------------------------
+    def _open_wire(self, context) -> None:
         try:
-            mp_ctx = multiprocessing.get_context("fork")
+            self._mp_ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
             raise CommunicatorError(
                 "backend='procs' needs the fork start method "
                 "(POSIX only); use backend='threads' on this platform"
             ) from None
-        nprocs = context.world_size
-        self._values = [None] * nprocs
-        self._clocks = [None] * nprocs
-        self._errors = [None] * nprocs
-        with self._members_lock:
-            self._comm_members = {WORLD_COMM_ID: list(range(nprocs))}
 
-        links = [_Link(r, self.ring_bytes, mp_ctx) for r in range(nprocs)]
-        # Abort/revoke must reach workers blocked in pure compute, not
-        # just those parked in an RPC: push them out-of-band.
-        context.add_abort_hook(
-            lambda reason: self._broadcast(links, ("oob", "abort", reason))
+    def _new_link(self, rank: int) -> _Link:
+        return _Link(rank, self.ring_bytes, self._mp_ctx)
+
+    def _launch(self, link: _Link, links: list, cfg, program):
+        # The fork inherits the master's current state, so cfg (and the
+        # caller objects it references) travels by reference.
+        fn, args, kwargs = program
+        suffix = ("" if cfg.respawn_info is None
+                  else f"-i{cfg.respawn_info['incarnation']}")
+        proc = self._mp_ctx.Process(
+            target=_worker_main,
+            args=(links, link.rank, fn, args, kwargs, cfg),
+            name=f"spmd-rank-{link.rank}{suffix}", daemon=True,
         )
-        context.add_revoke_hook(
-            lambda threshold, reason: self._broadcast(
-                links, ("oob", "revoke", threshold, reason))
-        )
-        cfg = WorkerConfig(context)
+        proc.start()
+        return proc
 
-        procs: list = []
-        threads: list = []
-        spawn_lock = threading.Lock()
-
-        def serve_link(link: _Link) -> None:
-            for target, label in ((self._serve_ctl, "ctl"),
-                                  (self._serve_data, "data")):
-                thread = threading.Thread(
-                    target=target, args=(link, context), daemon=True,
-                    name=f"spmd-{label}-{link.rank}",
-                )
-                thread.start()
-                with spawn_lock:
-                    threads.append(thread)
-
-        def respawn(rank: int) -> None:
-            # Elastic replacement: supersede the dead incarnation's
-            # link, forget its error (the replacement's lifecycle
-            # message owns the slot now), and re-fork the rank program
-            # at the same world position.  The fresh fork inherits the
-            # master's current state, so the replacement's WorkerConfig
-            # travels by reference exactly like the original's; its
-            # respawn_info tells the worker which incarnation it is.
-            links[rank].replaced = True
-            self._errors[rank] = None
-            new_link = _Link(rank, self.ring_bytes, mp_ctx)
-            links[rank] = new_link
-            rcfg = WorkerConfig(context)
-            rcfg.respawn_info = {
-                "incarnation": context.rank_incarnations[rank],
-                "crash_fired": (context.faults.crash_fires(rank)
-                                if context.faults is not None else None),
-                "revoked_below": context.revoked_below,
-                "revoke_reason": context.revoke_reason,
-            }
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(links, rank, fn, args, kwargs, rcfg),
-                name=f"spmd-rank-{rank}-i{rcfg.respawn_info['incarnation']}",
-                daemon=True,
-            )
-            proc.start()
-            with spawn_lock:
-                procs.append(proc)
-            new_link.close_worker_ends()
-            serve_link(new_link)
-
-        context.set_respawner(respawn)
-
-        for link in links:
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(links, link.rank, fn, args, kwargs, cfg),
-                name=f"spmd-rank-{link.rank}",
-                daemon=True,
-            )
-            proc.start()
-            procs.append(proc)
-        for link in links:
-            link.close_worker_ends()
-        for link in links:
-            serve_link(link)
-
-        # Join by index: a replace rendezvous running on a ctl service
-        # thread may append replacement processes (and their service
-        # threads) while this loop is already draining, and every
-        # incarnation must be joined before the results are read.
-        i = 0
-        while True:
-            with spawn_lock:
-                if i >= len(procs):
-                    break
-                proc = procs[i]
-            i += 1
-            proc.join()
-        i = 0
-        while True:
-            with spawn_lock:
-                if i >= len(threads):
-                    break
-                thread = threads[i]
-            i += 1
-            thread.join(timeout=10.0)
-        for link in links:
-            link.close_master_ends()
-        return self._values, self._clocks, self._errors
-
-    # -- out-of-band push ------------------------------------------------
-    @staticmethod
-    def _broadcast(links: list, msg: tuple) -> None:
-        for link in links:
-            with link.send_lock:
-                try:
-                    link.ctl_master.send(msg)
-                except (OSError, ValueError):
-                    pass  # worker already gone
-
-    # -- master service threads -----------------------------------------
-    def _reply(self, link: _Link, value) -> None:
-        skeleton, arrays = split_arrays(value)
-        views, descrs = prepare_arrays(arrays)
-        with link.send_lock:
-            link.ctl_master.send(("ok", skeleton, descrs))
-            send_arrays(link.reply_ring, views)
-
-    def _reply_err(self, link: _Link, exc: BaseException) -> None:
-        with link.send_lock:
-            link.ctl_master.send(("err", encode_exception(exc)))
-
-    def _serve_ctl(self, link: _Link, context) -> None:
-        """Serve one worker's blocking RPCs until it disconnects."""
-        conn = link.ctl_master
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                return
-            _, method, skeleton, descrs = msg
-            try:
-                arrays = recv_arrays(link.ctl_ring, descrs)
-            except Exception:
-                return  # worker died mid-request; data thread reports it
-            request = join_arrays(skeleton, arrays)
-            try:
-                value = self._dispatch(context, link, method, request)
-            except BaseException as exc:  # noqa: BLE001 - RPC error path
-                try:
-                    self._reply_err(link, exc)
-                except (OSError, ValueError):
-                    return
-                continue
-            try:
-                self._reply(link, value)
-            except (OSError, ValueError):
-                return
-            if method in ("finalize", "rank_killed", "rank_error"):
-                return
-
-    def _serve_data(self, link: _Link, context) -> None:
-        """Drain one worker's deliveries; EOF is its death certificate."""
-        conn = link.data_master
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg[0] == "hb":
-                # Telemetry heartbeat: fold the worker's streaming delta
-                # into the caller's objects.  Not a delivery — must not
-                # advance the drain barrier.
-                self._ingest_heartbeat(context, msg[1], msg[2], msg[3])
-                continue
-            _, comm_id, dest_world, source, tag, meta, skeleton, descrs = msg
-            try:
-                arrays = recv_arrays(link.data_ring, descrs)
-            except Exception:
-                break
-            payload = join_arrays(skeleton, arrays)
-            send_time, moved, nbytes, seq, checksum, origin = meta
-            env = Envelope(payload=payload, send_time=send_time, moved=moved,
-                           nbytes=nbytes, origin=decode_origin(origin),
-                           seq=seq, checksum=checksum)
-            context.mailbox(comm_id, dest_world).put(source, tag, env)
-            with link.put_cond:
-                link.puts_received += 1
-                link.put_cond.notify_all()
-        # A worker that vanished without a lifecycle message died hard
-        # (killed, segfaulted): record the death so blocked partners
-        # fast-fail with RankFailedError instead of timing out.
-        rank = link.rank
-        if not link.replaced and context.rank_status(rank) == "running":
-            if self._errors[rank] is None:
-                self._errors[rank] = RankFailedError(
-                    f"rank {rank} worker process died unexpectedly"
-                )
-            context.mark_failed(rank)
+    def _recv_data(self, link: _Link, context):
+        try:
+            return link.data.recv()
+        except LinkClosed:
+            # EOF without a lifecycle message: the worker died hard
+            # (killed, segfaulted).
+            self._declare_lost(link, context,
+                               "worker process died unexpectedly")
+            return None

@@ -20,8 +20,9 @@ the ring-specific streaming helpers :func:`send_arrays` /
 from __future__ import annotations
 
 import mmap
-import struct
 import time
+
+import numpy as np
 
 from ...errors import CommunicatorError
 from .codec import (
@@ -56,9 +57,6 @@ DEFAULT_RING_BYTES = 8 * 1024 * 1024
 _BACKOFF_START = 1e-6
 _BACKOFF_CAP = 5e-4
 
-_U64 = struct.Struct("<Q")
-_MASK = (1 << 64) - 1
-
 
 class ShmRing:
     """Single-producer single-consumer byte ring over shared anonymous mmap.
@@ -66,32 +64,57 @@ class ShmRing:
     The first 16 bytes are two monotonically increasing 64-bit cursors:
     ``head`` (bytes consumed, written only by the reader) and ``tail``
     (bytes produced, written only by the writer).  Each side mutates
-    only its own cursor, so no lock is needed; 8-byte aligned loads and
-    stores are atomic on every platform this runtime targets.  Create
-    the ring *before* forking — both processes then share the mapping.
+    only its own cursor, so no lock is needed.  Create the ring
+    *before* forking — both processes then share the mapping.
+
+    Cursor access: both cursors are read and written as whole words
+    through a ``uint64`` view of the page-aligned mapping — one aligned
+    8-byte load or store each, so a peer never observes a cursor half
+    written.  (``struct.pack_into``/``unpack_from`` copy byte by byte and
+    can tear: a reader could see a ``tail`` below its own ``head``.)
+    Every load checks the ring
+    invariant ``0 <= tail - head <= capacity`` and raises a
+    :class:`~repro.errors.CommunicatorError` naming the ring
+    (:attr:`label`) when it does not hold.
+
+    Memory ordering: the writer copies payload bytes and *then* stores
+    ``tail``; the reader loads ``tail`` and *then* copies.  The protocol
+    relies on the CPU keeping stores in program order and loads in
+    program order, which x86-64 guarantees (total store order).  No
+    fence is issued, so on weakly ordered CPUs (aarch64, POWER) a reader
+    could observe a new ``tail`` before the bytes it covers: there the
+    ring is not known to be correct.
     """
 
     _CTRL = 16
     _HEAD = 0
-    _TAIL = 8
+    _TAIL = 1
+
+    #: Names the ring in errors; the process transport sets it per link.
+    label = "shared-memory ring"
 
     def __init__(self, capacity: int = DEFAULT_RING_BYTES) -> None:
         if capacity <= 0:
             raise CommunicatorError("ring capacity must be positive")
         self.capacity = int(capacity)
         self._mm = mmap.mmap(-1, self._CTRL + self.capacity)
+        self._cursors = np.frombuffer(self._mm, dtype=np.uint64, count=2)
         self._buf = memoryview(self._mm)[self._CTRL:]
 
-    def _load(self, offset: int) -> int:
-        return _U64.unpack_from(self._mm, offset)[0]
-
-    def _store(self, offset: int, value: int) -> None:
-        _U64.pack_into(self._mm, offset, value & _MASK)
+    def _used(self, head: int, tail: int) -> int:
+        """``tail - head``, checked against the ring invariant."""
+        used = tail - head
+        if not 0 <= used <= self.capacity:
+            raise CommunicatorError(
+                f"{self.label}: corrupt cursors (head={head}, tail={tail}, "
+                f"capacity={self.capacity}); the ring can no longer be read"
+            )
+        return used
 
     def _wait(self, deadline: float, backoff: float, what: str) -> float:
         if time.monotonic() > deadline:
             raise CommunicatorError(
-                f"shared-memory ring stalled while {what} — peer process "
+                f"{self.label} stalled while {what} — peer process "
                 "is not draining (likely dead or deadlocked)"
             )
         time.sleep(backoff)
@@ -107,12 +130,12 @@ class ShmRing:
         view = memoryview(data).cast("B")
         n = len(view)
         written = 0
-        tail = self._load(self._TAIL)
+        tail = self._cursors.item(self._TAIL)
         deadline = time.monotonic() + timeout
         backoff = _BACKOFF_START
         while written < n:
-            head = self._load(self._HEAD)
-            free = self.capacity - (tail - head)
+            free = self.capacity - self._used(
+                self._cursors.item(self._HEAD), tail)
             if free == 0:
                 backoff = self._wait(deadline, backoff, "writing")
                 continue
@@ -122,19 +145,18 @@ class ShmRing:
             self._buf[pos:pos + chunk] = view[written:written + chunk]
             written += chunk
             tail += chunk
-            self._store(self._TAIL, tail)
+            self._cursors[self._TAIL] = tail
 
     def read_into(self, out, *, timeout: float = 600.0) -> None:
         """Fill ``out`` (a writable 1-D byte view) from the ring, blocking."""
         view = memoryview(out).cast("B")
         n = len(view)
         got = 0
-        head = self._load(self._HEAD)
+        head = self._cursors.item(self._HEAD)
         deadline = time.monotonic() + timeout
         backoff = _BACKOFF_START
         while got < n:
-            tail = self._load(self._TAIL)
-            avail = tail - head
+            avail = self._used(head, self._cursors.item(self._TAIL))
             if avail == 0:
                 backoff = self._wait(deadline, backoff, "reading")
                 continue
@@ -144,7 +166,7 @@ class ShmRing:
             view[got:got + chunk] = self._buf[pos:pos + chunk]
             got += chunk
             head += chunk
-            self._store(self._HEAD, head)
+            self._cursors[self._HEAD] = head
 
     def read_bytes(self, n: int, *, timeout: float = 600.0) -> bytearray:
         """Read exactly ``n`` bytes into a fresh buffer."""

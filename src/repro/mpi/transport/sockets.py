@@ -2,9 +2,10 @@
 
 The same execution model as the procs backend — rank workers in their
 own processes, the authoritative world (mailboxes, rendezvous, rank
-status, store, sanitizer) resident in the master, everything above the
-wire shared via :mod:`~repro.mpi.transport.worldproxy` — but the wire
-is TCP, hardened against the failure modes real networks have and
+status, store, sanitizer) resident in the master, and everything above
+the wire (RPC channel, send pump, the master hub's launch/serve/reap
+lifecycle) shared via :mod:`~repro.mpi.transport.worldproxy` — but the
+wire is TCP, hardened against the failure modes real networks have and
 pipes do not:
 
 * **Rendezvous handshake.**  The master binds a listener and hands each
@@ -77,33 +78,16 @@ import hmac
 import multiprocessing
 import os
 import pickle
-import queue
 import socket
 import subprocess
 import sys
 import threading
 import time
-from typing import Any
 
-from ...errors import (
-    CommunicatorError,
-    RankFailedError,
-    RankKilledError,
-    WorldAbortedError,
-)
+from ...errors import CommunicatorError, RankFailedError, RankKilledError
 from ...faults.network import NetworkFaultState
-from ..context import Envelope
 from .base import Transport
-from .codec import (
-    decode_exception,
-    decode_origin,
-    descr_nbytes,
-    encode_exception,
-    encode_origin,
-    join_arrays,
-    prepare_arrays,
-    split_arrays,
-)
+from .codec import descr_nbytes
 from .net import (
     DEFAULT_CONNECT_POLICY,
     DEFAULT_HEARTBEAT_INTERVAL,
@@ -113,8 +97,14 @@ from .net import (
     LinkTimeout,
     RetryPolicy,
 )
-from .threads import WORLD_COMM_ID
-from .worldproxy import SendToken, WorkerConfig, WorldServerMixin, run_worker
+from .worldproxy import (
+    Channel,
+    Link,
+    SendPump,
+    WorkerConfig,
+    WorldServerMixin,
+    run_worker,
+)
 
 __all__ = ["SocketTransport"]
 
@@ -195,75 +185,29 @@ def _connect_framed(addr, purpose: str, rank: int, token: str,
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class _SockChannel:
-    """Worker-side RPC client over the ctl link.
+class _SockChannel(Channel):
+    """The RPC channel over the ctl link, cut by injected partitions.
 
-    Single caller (the rank's main thread), so requests never
-    interleave; out-of-band abort/revoke pushes arriving while a reply
-    is awaited are applied and skipped.  After an injected partition
-    the control link is as unreachable as the data link: calls raise
-    :class:`~repro.errors.RankKilledError`, which the rank-program
-    harness reports as an injected death.
+    After an injected partition the control link is as unreachable as
+    the data link: calls raise :class:`~repro.errors.RankKilledError`,
+    which the rank-program harness reports as an injected death.
     """
 
     def __init__(self, fs: FramedSocket, netstate) -> None:
-        self._fs = fs
+        super().__init__(fs)
         self._net = netstate
-        self.state = None  # the WorkerContext, set by run_worker
 
-    def _check_dark(self) -> None:
+    def _check(self) -> None:
         if self._net is not None and self._net.dark:
             raise RankKilledError(
                 "injected network partition severed the control link"
             )
 
-    def call(self, method: str, *args) -> Any:
-        self._check_dark()
-        skeleton, arrays = split_arrays(args)
-        views, descrs = prepare_arrays(arrays)
-        try:
-            self._fs.send(("rpc", method, skeleton), descrs, views)
-        except LinkClosed as exc:
-            raise WorldAbortedError(
-                f"SPMD master is gone ({method} RPC failed: {exc})"
-            ) from None
-        while True:
-            try:
-                header, arrays = self._fs.recv(None)
-            except LinkClosed:
-                self._check_dark()
-                raise WorldAbortedError(
-                    f"SPMD master is gone (no reply to {method})"
-                ) from None
-            if header[0] == "oob":
-                self.state.apply_oob(header)
-                continue
-            break
-        if header[0] == "err":
-            raise decode_exception(header[1])
-        _, skeleton = header
-        return join_arrays(skeleton, arrays)
 
-    def drain_oob(self) -> None:
-        """Apply any queued abort/revoke pushes without blocking."""
-        try:
-            while self._fs.poll(0):
-                header, _ = self._fs.recv(timeout=1.0)
-                if header[0] == "oob":
-                    self.state.apply_oob(header)
-        except (LinkClosed, LinkTimeout):  # pragma: no cover - master gone
-            pass
+class _SockPump(SendPump):
+    """The send pump over the data link, hardened for real networks.
 
-    def close(self) -> None:
-        self._fs.close()
-
-
-class _SockPump:
-    """Owns the worker's data link: a daemon thread draining a queue.
-
-    Mirrors the procs send pump (buffered-send semantics, completion
-    tokens, single-writer data path) and adds the network robustness:
-    every frame passes through the injected-fault engine, a reset
+    Every frame passes through the injected-fault engine, a reset
     closes-with-RST then reconnects under the retry policy and
     retransmits, a partition drops everything after shipping its
     fault record, and real send failures get one reconnect-and-resend
@@ -272,7 +216,6 @@ class _SockPump:
 
     def __init__(self, fs: FramedSocket, addr, token: str, rank: int,
                  policy: RetryPolicy, netstate, counters: dict) -> None:
-        self._fs = fs
         self._addr = addr
         self._token = token
         self._rank = rank
@@ -280,61 +223,7 @@ class _SockPump:
         self._net = netstate
         self._counters = counters
         self._generation = 1
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self.sent = 0  # deliveries accepted; shipped with the lifecycle RPC
-        self.failure: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, daemon=True, name="spmd-sock-pump"
-        )
-        self._thread.start()
-
-    def enqueue(self, comm_id: int, dest_world: int, source: int, tag: int,
-                env: Envelope) -> threading.Event:
-        if self.failure is not None:
-            raise CommunicatorError(
-                f"socket send path failed: {self.failure}"
-            )
-        skeleton, arrays = split_arrays(env.payload)
-        views, descrs = prepare_arrays(arrays)
-        meta = (env.send_time, env.moved, env.nbytes, env.seq, env.checksum,
-                encode_origin(env.origin))
-        header = ("put", comm_id, dest_world, source, tag, meta, skeleton)
-        token = SendToken()
-        self._queue.put((header, descrs, views, token))
-        self.sent += 1
-        return token
-
-    def enqueue_raw(self, header: tuple) -> None:
-        """Stage a bookkeeping frame (heartbeat, ping) on the pump."""
-        if self.failure is not None:
-            return  # telemetry is best-effort; the rank path reports it
-        self._queue.put((header, (), (), None))
-
-    def flush(self, timeout: float | None = None) -> None:
-        """Block until every frame staged so far shipped or failed.
-
-        Run before the lifecycle report so ``failure`` is
-        authoritative: without it a rank could finalize while the pump
-        thread is still discovering that its frames will never ship.
-        """
-        token = SendToken()
-        self._queue.put((None, (), (), token))
-        token.wait(timeout)
-
-    def _run(self) -> None:
-        while True:
-            header, descrs, views, token = self._queue.get()
-            err = self.failure
-            if err is None and header is not None:
-                try:
-                    self._ship(header, descrs, views)
-                except BaseException as exc:  # noqa: BLE001 - report once
-                    self.failure = err = exc
-            if token is not None:
-                # A frame that never shipped must not report a clean
-                # stage: the waiter re-raises the error instead.
-                token.error = err
-                token.set()
+        super().__init__(fs)
 
     def _ship(self, header, descrs, views) -> None:
         net = self._net
@@ -354,42 +243,39 @@ class _SockPump:
             # before declaring the rank dead, so detection timing stays
             # honest; only the root-cause attribution is deus ex.
             try:
-                self._fs.send(("netfault", events))
+                self._end.send(("netfault", events))
             except LinkClosed:  # pragma: no cover - already gone
                 pass
-            self._fs.close()
+            self._end.close()
             return
         if action == "reset":
             # The "network" killed the data link mid-stream: abort with
             # an RST, reconnect under the retry policy, retransmit.
-            self._fs.close(reset=True)
+            self._end.close(reset=True)
             self._reconnect()
             if events:
-                self._fs.send(("netfault", events))
+                self._end.send(("netfault", events))
             self._send_resilient(header, descrs, views)
             return
         if events:
-            self._fs.send(("netfault", events))
+            self._end.send(("netfault", events))
         self._send_resilient(header, descrs, views)
 
     def _send_resilient(self, header, descrs, views) -> None:
         try:
-            self._fs.send(header, descrs, views)
+            self._end.send(header, descrs, views)
         except LinkClosed:
             # Real transient failure: one reconnect under the policy,
             # then retransmit.  A second failure surfaces to the rank.
             self._reconnect()
-            self._fs.send(header, descrs, views)
+            self._end.send(header, descrs, views)
 
     def _reconnect(self) -> None:
         self._generation += 1
-        self._fs = _connect_framed(
+        self._end = _connect_framed(
             self._addr, "data", self._rank, self._token, self._policy,
             self._net, self._counters, generation=self._generation,
         )
-
-    def close(self) -> None:
-        self._fs.close()
 
 
 class _Pinger:
@@ -471,26 +357,15 @@ def _worker_main(addr, token: str, rank: int, fn, args, kwargs,
 # ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
-class _SockLink:
-    """Master-side state of one worker's pair of connections."""
+class _SockLink(Link):
+    """Master-side state of one socket worker: two connections + liveness."""
 
     def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.ctl: FramedSocket | None = None
-        self.data: FramedSocket | None = None
+        super().__init__(rank)
         self.data_gen = 0
         self.cond = threading.Condition()  # guards ctl/data attachment
-        self.send_lock = threading.Lock()  # serializes ctl replies + oob
-        self.put_cond = threading.Condition()
-        self.puts_received = 0
         self.last_rx = time.monotonic()
         self.partitioned = False
-        self.finished = False  # lifecycle RPC fully processed
-        self.proc = None  # Process (fork) or Popen (spawn)
-        # Set when a replacement superseded this link: the dead
-        # incarnation's teardown (EOF, liveness expiry) must not fail
-        # the rank its replacement now occupies.
-        self.replaced = False
 
     def attach(self, purpose: str, fs: FramedSocket) -> None:
         with self.cond:
@@ -521,10 +396,10 @@ class _SockLink:
                 self.cond.wait(min(remaining, 0.5))
             return True
 
-    def close(self) -> None:
-        for fs in (self.ctl, self.data):
-            if fs is not None:
-                fs.close()
+    def retire(self) -> None:
+        # A partitioned incarnation may still hold its sockets open:
+        # closing them unblocks its serve threads via LinkClosed.
+        self.close()
 
 
 class SocketTransport(WorldServerMixin, Transport):
@@ -559,264 +434,102 @@ class SocketTransport(WorldServerMixin, Transport):
         )
         self.python = python or sys.executable
         self.net_health: dict[int, dict] = {}
-        self._comm_members: dict[int, list[int]] = {}
-        self._members_lock = threading.Lock()
-        self._values: list = []
-        self._clocks: list = []
-        self._errors: list = []
-        self._shutdown = threading.Event()
         self._boot_blobs: dict[int, bytes] | None = None
 
-    # -- transport interface --------------------------------------------
-    def deliver(self, context, comm_id: int, dest_world: int, source: int,
-                tag: int, envelope) -> None:
-        # Master-side deliveries (none in normal operation) are local.
-        context.mailbox(comm_id, dest_world).put(source, tag, envelope)
-
-    def execute(self, context, fn, args: tuple, kwargs: dict):
-        nprocs = context.world_size
-        self._values = [None] * nprocs
-        self._clocks = [None] * nprocs
-        self._errors = [None] * nprocs
-        self._shutdown = threading.Event()
-        with self._members_lock:
-            self._comm_members = {WORLD_COMM_ID: list(range(nprocs))}
+    # -- wire hooks of the master hub -----------------------------------
+    def _open_wire(self, context) -> None:
+        if self.hosts is None:
+            try:
+                self._mp_ctx = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - non-POSIX hosts
+                raise CommunicatorError(
+                    "backend='sockets' forks its workers by default (POSIX "
+                    "only); pass hosts=[...] to spawn them instead"
+                ) from None
+            self._boot_blobs = None
+        else:
+            self._boot_blobs = {}
         self.net_health = {
             r: {"connect_attempts": 0, "retries": 0, "reconnects": 0,
                 "heartbeat_age": None, "disconnect": None, "faults": []}
-            for r in range(nprocs)
+            for r in range(context.world_size)
         }
         # Postmortem bundles read the transport's health table off the
         # context (see repro.obs.postmortem, "network" section).
         context.net_health = self.net_health
-
-        token = os.urandom(16).hex()
-        listener = socket.create_server((self.host, self.port))
-        addr = listener.getsockname()[:2]
-        links = [_SockLink(r) for r in range(nprocs)]
-
-        context.add_abort_hook(
-            lambda reason: self._broadcast(links, ("oob", "abort", reason))
-        )
-        context.add_revoke_hook(
-            lambda threshold, reason: self._broadcast(
-                links, ("oob", "revoke", threshold, reason))
-        )
-
-        cfg = WorkerConfig(context)
-        netrules = (
+        self._netrules = (
             tuple(context.faults.plan.network)
             if context.faults is not None else ()
         )
-        knobs = {"connect_policy": self.connect_policy,
-                 "heartbeat_interval": self.heartbeat_interval}
-
-        # Workers are launched while the master is still single-threaded
-        # (forking a multi-threaded process can deadlock children on
-        # locks held at fork time); the listener is already bound, so
+        self._knobs = {"connect_policy": self.connect_policy,
+                       "heartbeat_interval": self.heartbeat_interval}
+        # Workers launch before the accept thread starts (the hub forks
+        # while single-threaded); the listener is already bound, so
         # early connects queue in the accept backlog — and the connect
-        # RetryPolicy rides out a full backlog — until the accept
-        # thread starts right after.
-        if self.hosts is None:
-            self._fork_workers(links, addr, token, fn, args, kwargs, cfg,
-                               netrules, knobs, listener)
-        else:
-            self._spawn_workers(links, addr, token, fn, args, kwargs, cfg,
-                                netrules, knobs)
+        # RetryPolicy rides out a full backlog — until it does.
+        self._token = os.urandom(16).hex()
+        self._listener = socket.create_server((self.host, self.port))
+        self._addr = self._listener.getsockname()[:2]
 
-        accept_thread = threading.Thread(
-            target=self._accept_loop, args=(listener, links, token, context),
+    def _new_link(self, rank: int) -> _SockLink:
+        return _SockLink(rank)
+
+    def _launch(self, link: _SockLink, links: list, cfg, program):
+        fn, args, kwargs = program
+        rank = link.rank
+        if cfg.respawn_info is not None:
+            self.net_health[rank]["reconnects"] += 1
+        if self.hosts is None:
+            # The fork start method passes args by reference, so the
+            # child gets the listener object to close its inherited fd
+            # copy — otherwise every worker would keep the rendezvous
+            # port bound after the master closes it.
+            suffix = ("" if cfg.respawn_info is None
+                      else f"-i{cfg.respawn_info['incarnation']}")
+            proc = self._mp_ctx.Process(
+                target=_worker_main,
+                args=(self._addr, self._token, rank, fn, args, kwargs, cfg,
+                      self._netrules, self._knobs, self._listener),
+                name=f"spmd-sock-rank-{rank}{suffix}", daemon=True,
+            )
+            proc.start()
+            return proc
+        # Spawn mode: a single-host loopback launch; the hosts entries
+        # label the layout (and are recorded in net_health).  Reaching
+        # a real remote host means running this exact command there —
+        # the handshake only needs TCP to (host, port) plus the token in
+        # the environment (argv would leak it via ps/procfs).
+        self._boot_blobs[rank] = self._boot_blob(
+            rank, fn, args, kwargs, cfg, self._netrules, self._knobs)
+        self.net_health[rank]["host"] = self.hosts[rank % len(self.hosts)]
+        env = dict(os.environ)
+        env[TOKEN_ENV_VAR] = self._token
+        host, port = self._addr
+        return subprocess.Popen(
+            [self.python, "-m", "repro.mpi.transport.sockworker",
+             "--addr", f"{host}:{port}", "--rank", str(rank)],
+            stdin=subprocess.DEVNULL, env=env,
+        )
+
+    def _start_wire(self, links: list, context) -> None:
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            args=(self._listener, links, self._token, context),
             daemon=True, name="spmd-sock-accept",
         )
-        accept_thread.start()
+        self._accept_thread.start()
 
-        threads: list = []
-        procs: list = []
-        spawn_lock = threading.Lock()
-
-        def serve_link(link: _SockLink) -> None:
-            for target, label in ((self._serve_ctl, "ctl"),
-                                  (self._serve_data, "data")):
-                thread = threading.Thread(
-                    target=target, args=(link, context), daemon=True,
-                    name=f"spmd-sock-{label}-{link.rank}",
-                )
-                thread.start()
-                with spawn_lock:
-                    threads.append(thread)
-
-        def respawn(rank: int) -> None:
-            # Elastic replacement: retire the dead incarnation's link,
-            # forget its error (the replacement's lifecycle overwrites
-            # the slot), and relaunch the worker through the same
-            # rendezvous the original used — the accept loop indexes
-            # ``links`` at hello time, so the replacement's connections
-            # attach to the fresh link.
-            old = links[rank]
-            old.replaced = True
-            old.close()  # unblocks the old serve threads via LinkClosed
-            self._errors[rank] = None
-            new_link = _SockLink(rank)
-            links[rank] = new_link
-            rcfg = WorkerConfig(context)
-            rcfg.respawn_info = {
-                "incarnation": context.rank_incarnations[rank],
-                "crash_fired": (
-                    context.faults.crash_fires(rank)
-                    if context.faults is not None else None
-                ),
-                "revoked_below": context.revoked_below,
-                "revoke_reason": context.revoke_reason,
-            }
-            incarnation = rcfg.respawn_info["incarnation"]
-            self.net_health[rank]["reconnects"] += 1
-            if self.hosts is None:
-                mp_ctx = multiprocessing.get_context("fork")
-                proc = mp_ctx.Process(
-                    target=_worker_main,
-                    args=(addr, token, rank, fn, args, kwargs, rcfg,
-                          netrules, knobs, listener),
-                    name=f"spmd-sock-rank-{rank}-i{incarnation}",
-                    daemon=True,
-                )
-                proc.start()
-            else:
-                if self._boot_blobs is not None:
-                    self._boot_blobs[rank] = self._boot_blob(
-                        rank, fn, args, kwargs, rcfg, netrules, knobs)
-                env = dict(os.environ)
-                env[TOKEN_ENV_VAR] = token
-                proc = subprocess.Popen(
-                    [self.python, "-m", "repro.mpi.transport.sockworker",
-                     "--addr", f"{addr[0]}:{addr[1]}",
-                     "--rank", str(rank)],
-                    stdin=subprocess.DEVNULL,
-                    env=env,
-                )
-            new_link.proc = proc
-            with spawn_lock:
-                procs.append(proc)
-
-            def boot() -> None:
-                ok = new_link.wait_ready(
-                    time.monotonic() + self.connect_grace)
-                if ok:
-                    serve_link(new_link)
-                else:
-                    self._declare_lost(
-                        new_link, context,
-                        f"replacement never connected within "
-                        f"{self.connect_grace:.0f}s",
-                    )
-
-            threading.Thread(
-                target=boot, daemon=True,
-                name=f"spmd-sock-boot-{rank}-i{incarnation}",
-            ).start()
-
-        # The initial incarnations are collected before the respawner
-        # is registered, so every process the run ever launched —
-        # original or replacement — lands in ``procs`` exactly once.
-        procs.extend(link.proc for link in links if link.proc is not None)
-        context.set_respawner(respawn)
-
-        # Rendezvous: every worker must raise both links within the
-        # grace window (injected connect refusals burn into it).
-        deadline = time.monotonic() + self.connect_grace
-        for link in list(links):
-            if not link.wait_ready(deadline):
-                self._declare_lost(
-                    link, context,
-                    f"never connected within {self.connect_grace:.0f}s",
-                )
-                continue
-            serve_link(link)
-
-        # Join by index: a replace rendezvous may append replacement
-        # workers (and their serve threads) while earlier ones are
-        # still being joined; every incarnation must be reaped.
-        i = 0
-        while True:
-            with spawn_lock:
-                if i >= len(procs):
-                    break
-                proc = procs[i]
-            i += 1
-            if hasattr(proc, "join"):
-                proc.join()
-            else:  # Popen
-                proc.wait()
-        self._shutdown.set()
-        i = 0
-        while True:
-            with spawn_lock:
-                if i >= len(threads):
-                    break
-                thread = threads[i]
-            i += 1
-            thread.join(timeout=10.0)
-        accept_thread.join(timeout=5.0)
+    def _close_wire(self, links: list) -> None:
+        self._accept_thread.join(timeout=5.0)
         try:
-            listener.close()
+            self._listener.close()
         except OSError:  # pragma: no cover - already closed
             pass
         now = time.monotonic()
         for link in links:
             self.net_health[link.rank]["heartbeat_age"] = round(
                 now - link.last_rx, 3)
-            link.close()
         self._boot_blobs = None
-        return self._values, self._clocks, self._errors
-
-    # -- worker launch ---------------------------------------------------
-    def _fork_workers(self, links, addr, token, fn, args, kwargs, cfg,
-                      netrules, knobs, listener) -> None:
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
-            raise CommunicatorError(
-                "backend='sockets' forks its workers by default (POSIX "
-                "only); pass hosts=[...] to spawn them instead"
-            ) from None
-        for link in links:
-            # The fork start method passes args by reference, so the
-            # child gets the listener object to close its inherited fd
-            # copy — otherwise every worker would keep the rendezvous
-            # port bound after the master closes it.
-            proc = mp_ctx.Process(
-                target=_worker_main,
-                args=(addr, token, link.rank, fn, args, kwargs, cfg,
-                      netrules, knobs, listener),
-                name=f"spmd-sock-rank-{link.rank}",
-                daemon=True,
-            )
-            proc.start()
-            link.proc = proc
-
-    def _spawn_workers(self, links, addr, token, fn, args, kwargs, cfg,
-                       netrules, knobs) -> None:
-        self._boot_blobs = {
-            link.rank: self._boot_blob(link.rank, fn, args, kwargs, cfg,
-                                       netrules, knobs)
-            for link in links
-        }
-        host, port = addr
-        env = dict(os.environ)
-        env[TOKEN_ENV_VAR] = token
-        for link in links:
-            # Single-host loopback launch; the hosts entries label the
-            # layout (and are recorded in net_health).  Reaching a real
-            # remote host means running this exact command there — the
-            # handshake only needs TCP to (host, port) plus the token
-            # in the environment (argv would leak it via ps/procfs).
-            label = self.hosts[link.rank % len(self.hosts)]
-            self.net_health[link.rank]["host"] = label
-            link.proc = subprocess.Popen(
-                [self.python, "-m", "repro.mpi.transport.sockworker",
-                 "--addr", f"{host}:{port}", "--rank", str(link.rank)],
-                stdin=subprocess.DEVNULL,
-                env=env,
-            )
 
     @staticmethod
     def _demote_main(fn):
@@ -943,71 +656,19 @@ class SocketTransport(WorldServerMixin, Transport):
             # worker's shipped deltas.
             h.setdefault("reconnect_log", []).append(round(time.time(), 3))
 
-    # -- out-of-band push ------------------------------------------------
-    @staticmethod
-    def _broadcast(links, header: tuple) -> None:
-        for link in links:
-            fs = link.ctl
-            if fs is None:
-                continue
-            with link.send_lock:
-                try:
-                    fs.send(header)
-                except LinkClosed:
-                    pass  # worker already gone
+    # -- data path -------------------------------------------------------
+    def _recv_data(self, link: _SockLink, context):
+        """The next data frame; silence is the worker's death certificate.
 
-    # -- master service threads -----------------------------------------
-    def _reply(self, link: _SockLink, value) -> None:
-        skeleton, arrays = split_arrays(value)
-        views, descrs = prepare_arrays(arrays)
-        with link.send_lock:
-            link.ctl.send(("ok", skeleton), descrs, views)
-
-    def _reply_err(self, link: _SockLink, exc: BaseException) -> None:
-        with link.send_lock:
-            link.ctl.send(("err", encode_exception(exc)))
-
-    def _serve_ctl(self, link: _SockLink, context) -> None:
-        """Serve one worker's blocking RPCs until it disconnects."""
-        fs = link.ctl
-        while True:
-            try:
-                header, arrays = fs.recv(None)
-            except LinkClosed:
-                return
-            if header[0] != "rpc":  # pragma: no cover - protocol noise
-                continue
-            _, method, skeleton = header
-            request = join_arrays(skeleton, arrays)
-            try:
-                value = self._dispatch(context, link, method, request)
-            except BaseException as exc:  # noqa: BLE001 - RPC error path
-                try:
-                    self._reply_err(link, exc)
-                except LinkClosed:
-                    return
-                continue
-            try:
-                self._reply(link, value)
-            except LinkClosed:
-                return
-            if method in ("finalize", "rank_killed", "rank_error"):
-                link.finished = True
-                return
-
-    def _serve_data(self, link: _SockLink, context) -> None:
-        """Drain one worker's data frames; silence is its death certificate.
-
-        The recv loop wakes every ``_DATA_TICK`` seconds to check the
-        liveness deadline, so a partitioned or frozen worker surfaces
-        as a failed rank within ``liveness_timeout`` — never a hang.
-        An EOF (reset or process death) retires the socket but starts
-        no new clock: either a reconnect replaces it or the liveness
-        deadline (running since the last received frame) expires.
+        Wakes every ``_DATA_TICK`` seconds to check the liveness
+        deadline, so a partitioned or frozen worker surfaces as a failed
+        rank within ``liveness_timeout`` — never a hang.  An EOF (reset
+        or process death) retires the socket but starts no new clock:
+        either a reconnect replaces it or the liveness deadline (running
+        since the last received frame) expires.
         """
-        while True:
-            if link.finished or link.replaced or self._shutdown.is_set():
-                return
+        while not (link.finished or link.replaced
+                   or self._shutdown.is_set()):
             with link.cond:
                 fs = link.data
                 gen = link.data_gen
@@ -1015,12 +676,12 @@ class SocketTransport(WorldServerMixin, Transport):
                 if self._liveness_expired(link):
                     self._declare_lost(link, context,
                                        "data link lost and not re-established")
-                    return
+                    return None
                 with link.cond:
                     link.cond.wait(_DATA_TICK)
                 continue
             try:
-                header, arrays = fs.recv(timeout=_DATA_TICK)
+                frame = fs.recv(timeout=_DATA_TICK)
             except LinkTimeout:
                 if self._liveness_expired(link):
                     self._declare_lost(
@@ -1028,31 +689,19 @@ class SocketTransport(WorldServerMixin, Transport):
                         f"liveness deadline exceeded "
                         f"({self.liveness_timeout:.1f}s of silence)",
                     )
-                    return
+                    return None
                 continue
             except LinkClosed:
                 link.retire_data(gen)
                 continue
             link.last_rx = time.monotonic()
-            kind = header[0]
-            if kind == "put":
-                _, comm_id, dest_world, source, tag, meta, skeleton = header
-                payload = join_arrays(skeleton, arrays)
-                send_time, moved, nbytes, seq, checksum, origin = meta
-                env = Envelope(payload=payload, send_time=send_time,
-                               moved=moved, nbytes=nbytes,
-                               origin=decode_origin(origin), seq=seq,
-                               checksum=checksum)
-                context.mailbox(comm_id, dest_world).put(source, tag, env)
-                with link.put_cond:
-                    link.puts_received += 1
-                    link.put_cond.notify_all()
-            elif kind == "hb":
-                self._ingest_heartbeat(context, header[1], header[2],
-                                       header[3])
-            elif kind == "netfault":
-                self._absorb_netfault(context, link, header[1])
-            # "ping" frames carry nothing; stamping last_rx was the point.
+            return frame
+        return None
+
+    def _ingest_wire(self, context, link: _SockLink, header: tuple) -> None:
+        # "ping" frames carry nothing; stamping last_rx was the point.
+        if header[0] == "netfault":
+            self._absorb_netfault(context, link, header[1])
 
     def _liveness_expired(self, link: _SockLink) -> bool:
         return time.monotonic() - link.last_rx > self.liveness_timeout
@@ -1070,19 +719,13 @@ class SocketTransport(WorldServerMixin, Transport):
             if kind == "net:partition":
                 link.partitioned = True
 
-    def _declare_lost(self, link: _SockLink, context, why: str) -> None:
+    def _declare_lost(self, link: _SockLink, context, why: str) -> bool:
         """Record a worker's link death and fail the rank (once)."""
         rank = link.rank
         age = time.monotonic() - link.last_rx
         h = self.net_health[rank]
         h["disconnect"] = why
         h["heartbeat_age"] = round(age, 3)
-        if link.replaced:
-            # The rank status now describes the replacement; this link
-            # belongs to an incarnation already recovered from.
-            return
-        if context.rank_status(rank) != "running":
-            return
         if link.partitioned and context.faults is not None:
             err: CommunicatorError = RankKilledError(
                 f"injected network partition: rank {rank} went silent "
@@ -1093,8 +736,8 @@ class SocketTransport(WorldServerMixin, Transport):
                 f"rank {rank} socket worker lost: {why} "
                 f"(last frame {age:.2f}s ago)"
             )
-        if self._errors[rank] is None:
-            self._errors[rank] = err
+        if not self._fail_rank(link, context, err):
+            return False
         recorder = getattr(context, "recorder", None)
         if recorder is not None:
             # The worker can ship no more deltas (its link is gone), so
@@ -1103,4 +746,4 @@ class SocketTransport(WorldServerMixin, Transport):
                 recorder.record(rank, "fault", name="net:lost", reason=why)
             except Exception:  # pragma: no cover - telemetry best-effort
                 pass
-        context.mark_failed(rank)
+        return True

@@ -26,10 +26,28 @@ from ...obs.recorder import (
 from ...obs.tracer import activate as obs_activate, deactivate as obs_deactivate
 from .base import Transport
 
-__all__ = ["ThreadTransport", "run_rank_program"]
+__all__ = ["ThreadTransport", "reap", "run_rank_program"]
 
 #: Communicator id of the world every rank starts from.
 WORLD_COMM_ID = 0
+
+
+def reap(items: list, lock, finish) -> None:
+    """Call ``finish`` on every item of a list that may grow meanwhile.
+
+    A replace rendezvous may append replacement ranks (and their
+    service threads) while earlier ones are still being joined;
+    indexing under ``lock`` makes sure every incarnation is reaped
+    before the results are read.
+    """
+    i = 0
+    while True:
+        with lock:
+            if i >= len(items):
+                return
+            item = items[i]
+        i += 1
+        finish(item)
 
 
 def run_rank_program(context, comm, fn, args, kwargs, rank: int,
@@ -167,15 +185,5 @@ class ThreadTransport(Transport):
         context.set_respawner(respawn)
         for r in range(nprocs):
             start_rank(r)
-        # Join by index: a replace rendezvous may append replacement
-        # threads while earlier ones are still being joined, and every
-        # incarnation must finish before the results are read.
-        i = 0
-        while True:
-            with threads_lock:
-                if i >= len(threads):
-                    break
-                t = threads[i]
-            i += 1
-            t.join()
+        reap(threads, threads_lock, threading.Thread.join)
         return values, clocks, errors

@@ -1,50 +1,52 @@
-"""Wire-agnostic worker/master halves of a master-resident world.
+"""The master hub of the procs and sockets transports, and its worker half.
 
-The procs and sockets backends share one execution model: rank workers
-in their own processes, the *world* (mailboxes, rendezvous, rank
-status, node-local store, sanitizer) resident in the master, reached
-through a per-rank duplex RPC channel plus a one-way data path for
-message deliveries.  What differs is only the wire — pipes and
-shared-memory rings for forked local workers, framed TCP sockets for
-networked ones.
+Both process-backed transports share one execution model: one worker
+process per rank, and the *world* (mailboxes, rendezvous, rank status,
+node-local store, sanitizer) resident in the master, reached by RPC.
+They differ only in the wire — pipes plus shared-memory rings for
+forked local workers, framed TCP for networked ones.  Everything above
+the wire lives here.
 
-This module holds everything *above* the wire:
+What the hub owns
+-----------------
+* Worker side: :class:`WorkerContext` (the rank-local ``SpmdContext``
+  stand-in), :class:`MailboxProxy`, :class:`WorkerSanitizer`, the
+  observability shards (:func:`delta_shards`, :func:`collect_shards`,
+  :class:`Heartbeat`), the RPC client :class:`Channel` (one reply loop
+  that applies and skips out-of-band pushes), the :class:`SendPump`
+  (queue, completion tokens, ``sent``/``failure`` counters), and
+  :func:`run_worker`, the worker main loop.
+* Master side: :class:`WorldServerMixin` — ``execute`` end to end
+  (result slots, comm-membership mirror, abort/revoke pushes, launch,
+  elastic respawn, join-by-index reaping), the ctl serve loop (RPC
+  dispatch with the canonical blocked receive, lifecycle reply), the
+  data serve loop (envelope ingest, drain counting, heartbeats), the
+  delivery-drain barrier, failure attribution, and shard merging.
+* The message formats: envelopes cross as
+  :func:`~repro.mpi.transport.codec.encode_envelope` tuples with their
+  arrays lifted out by the codec, so only :mod:`~repro.mpi.transport.
+  codec` knows the envelope layout.
 
-* the worker side — :class:`WorkerContext` (the rank-local
-  ``SpmdContext`` stand-in), :class:`MailboxProxy`,
-  :class:`WorkerSanitizer`, the observability shard
-  machinery (:func:`delta_shards` / :func:`collect_shards` /
-  :class:`Heartbeat`), and :func:`run_worker`, the worker main loop;
-* the master side — :class:`WorldServerMixin`, the RPC dispatch table
-  with the canonical blocked-receive protocol, the delivery-drain
-  lifecycle barrier, and the telemetry/shard merge paths.
-
-A transport supplies two duck-typed worker objects:
-
-``channel``
-    ``call(method, *args)`` — blocking RPC returning the master's
-    reply (raising its error); ``drain_oob()`` — apply queued
-    abort/revoke pushes without blocking; a ``state`` attribute the
-    worker context is assigned to (for out-of-band dispatch).
-``pump``
-    ``enqueue(comm_id, dest_world, source, tag, env)`` — stage a
-    delivery, returning a :class:`SendToken` completion token (set
-    once staged, carrying the staging error if the wire failed);
-    ``enqueue_raw(header)`` — stage a bookkeeping message
-    (heartbeat, netfault) outside the drain barrier; ``sent`` — count
-    of deliveries accepted; ``failure`` — the first staging error (or
-    ``None``), shipped with the lifecycle RPC so the master can skip
-    the drain barrier for puts that will never arrive and attribute
-    the loss to the send path instead of a clean finalize.
-
-and, master-side, per-rank ``link`` objects carrying ``rank``,
-``put_cond`` (a condition), and ``puts_received`` (deliveries folded
-into mailboxes so far) for the drain barrier.
+What a wire supplies
+--------------------
+* *Ends*: one side of a framed connection with ``send(header,
+  descrs=(), views=())``, ``recv(timeout=None) -> (header, arrays)``,
+  ``poll(timeout)`` and ``close()``.  A peer that is gone raises
+  :class:`~repro.mpi.transport.net.LinkClosed`, an expired ``recv``
+  timeout :class:`~repro.mpi.transport.net.LinkTimeout`; any other
+  exception is a wire failure that the hub records as the rank's own
+  error.  :class:`~repro.mpi.transport.net.FramedSocket` is the sockets
+  end; procs pairs a pipe with shared-memory rings.
+* The hooks listed on :class:`WorldServerMixin`: build a :class:`Link`,
+  launch one worker, receive one data frame, and per-world setup and
+  teardown.  A wire may also subclass :class:`Channel` (``_check``) and
+  :class:`SendPump` (``_ship``).
 """
 
 from __future__ import annotations
 
 import pickle
+import queue
 import threading
 import time
 from typing import Any
@@ -56,8 +58,17 @@ from ...errors import (
     WorldAbortedError,
 )
 from ..context import Envelope
-from .codec import decode_envelope, decode_exception, encode_envelope, encode_exception
-from .threads import WORLD_COMM_ID, run_rank_program
+from .codec import (
+    decode_envelope,
+    decode_exception,
+    encode_envelope,
+    encode_exception,
+    join_arrays,
+    prepare_arrays,
+    split_arrays,
+)
+from .net import LinkClosed, LinkTimeout
+from .threads import WORLD_COMM_ID, reap, run_rank_program
 
 __all__ = [
     "DRAIN_TIMEOUT",
@@ -69,13 +80,19 @@ __all__ = [
     "delta_shards",
     "collect_shards",
     "Heartbeat",
+    "Channel",
+    "SendPump",
     "run_worker",
+    "Link",
     "WorldServerMixin",
 ]
 
 # Seconds the master waits for a finishing worker's in-flight
 # deliveries to drain before processing its lifecycle message.
 DRAIN_TIMEOUT = 30.0
+
+# RPCs that report a rank's outcome; the ctl serve loop ends after one.
+_LIFECYCLE = ("finalize", "rank_killed", "rank_error")
 
 
 class SendToken(threading.Event):
@@ -501,12 +518,145 @@ class Heartbeat:
         self._thread.join(timeout=5.0)
 
 
+class Channel:
+    """Worker-side RPC client over the worker's ctl end.
+
+    Single caller (the rank's main thread), so requests never
+    interleave; out-of-band abort/revoke pushes arriving while a reply
+    is awaited are applied and skipped.
+    """
+
+    def __init__(self, end) -> None:
+        self._end = end
+        self.state = None  # the WorkerContext, set by run_worker
+
+    def _check(self) -> None:
+        """Runs before each call and when the ctl end drops; a wire
+        that can be cut on purpose raises its own error here."""
+
+    def call(self, method: str, *args) -> Any:
+        self._check()
+        skeleton, arrays = split_arrays(args)
+        views, descrs = prepare_arrays(arrays)
+        try:
+            self._end.send(("rpc", method, skeleton), descrs, views)
+        except LinkClosed as exc:
+            raise WorldAbortedError(
+                f"SPMD master is gone ({method} RPC failed: {exc})"
+            ) from None
+        while True:
+            try:
+                header, arrays = self._end.recv()
+            except LinkClosed:
+                self._check()
+                raise WorldAbortedError(
+                    f"SPMD master is gone (no reply to {method})"
+                ) from None
+            if header[0] != "oob":
+                break
+            self.state.apply_oob(header)
+        if header[0] == "err":
+            raise decode_exception(header[1])
+        return join_arrays(header[1], arrays)
+
+    def drain_oob(self) -> None:
+        """Apply any queued abort/revoke pushes without blocking."""
+        try:
+            while self._end.poll(0):
+                header, _ = self._end.recv(timeout=1.0)
+                if header[0] == "oob":
+                    self.state.apply_oob(header)
+        except (LinkClosed, LinkTimeout):  # pragma: no cover - master gone
+            pass
+
+    def close(self) -> None:
+        self._end.close()
+
+
+class SendPump:
+    """Owns the worker's data end: a daemon thread draining a FIFO.
+
+    ``deliver`` must not block the rank on wire backpressure (buffered-
+    send semantics: the payload is already snapshotted or frozen by
+    ``_deliver``), so frames are staged here and shipped in order by
+    one thread — the data end's single writer.  :meth:`enqueue` returns
+    the ``isend`` completion token.  ``sent`` counts deliveries accepted
+    and ``failure`` holds the first shipping error; both travel with
+    the lifecycle RPC so the master's drain barrier knows what to wait
+    for.  A wire with more to do per frame overrides :meth:`_ship`.
+    """
+
+    def __init__(self, end) -> None:
+        self._end = end
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self.sent = 0
+        self.failure: BaseException | None = None
+        self._thread = threading.Thread(
+            target=self._run, daemon=True, name="spmd-send-pump"
+        )
+        self._thread.start()
+
+    def enqueue(self, comm_id: int, dest_world: int, source: int, tag: int,
+                env: Envelope) -> SendToken:
+        if self.failure is not None:
+            raise CommunicatorError(f"send path failed: {self.failure}")
+        skeleton, arrays = split_arrays(encode_envelope(env))
+        views, descrs = prepare_arrays(arrays)
+        header = ("put", comm_id, dest_world, source, tag, skeleton)
+        token = SendToken()
+        self._queue.put((header, descrs, views, token))
+        self.sent += 1
+        return token
+
+    def enqueue_raw(self, header: tuple) -> None:
+        """Stage a bookkeeping frame (heartbeat, ping) on the pump.
+
+        Raw frames carry no arrays and do not count toward ``sent``:
+        the drain barrier counts only ``"put"`` frames on both ends.
+        """
+        if self.failure is not None:
+            return  # telemetry is best-effort; the rank path reports it
+        self._queue.put((header, (), (), None))
+
+    def flush(self, timeout: float | None = None) -> None:
+        """Block until every frame staged so far shipped or failed.
+
+        Run before the lifecycle report so ``failure`` is
+        authoritative: without it a rank could finalize while the pump
+        thread is still discovering that its frames will never ship.
+        """
+        token = SendToken()
+        self._queue.put((None, (), (), token))
+        token.wait(timeout)
+
+    def _run(self) -> None:
+        while True:
+            header, descrs, views, token = self._queue.get()
+            err = self.failure
+            if err is None and header is not None:
+                try:
+                    self._ship(header, descrs, views)
+                except BaseException as exc:  # noqa: BLE001 - report once
+                    self.failure = err = exc
+            if token is not None:
+                # A frame that never shipped must not report a clean
+                # stage: the waiter re-raises the error instead.
+                token.error = err
+                token.set()
+
+    def _ship(self, header, descrs, views) -> None:
+        self._end.send(header, descrs, views)
+
+    def close(self) -> None:
+        self._end.close()
+
+
 def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
                channel, pump) -> None:
     """The worker main loop, from first baseline to lifecycle report.
 
-    Wire-agnostic: the transport's ``_worker_main`` builds the channel
-    and pump over whatever wire it owns (pipes+rings, sockets), does
+    Wire-agnostic: the transport's worker entry point builds the
+    :class:`Channel` and :class:`SendPump` over the ends it owns, does
     its fd hygiene, then hands off here.
     """
     from ..communicator import Communicator
@@ -582,13 +732,11 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
     # out the drain barrier and let partners see a clean finalize.
     # Flush first so the pump has resolved every staged frame and
     # ``failure`` is authoritative, not a race with the pump thread.
-    flush = getattr(pump, "flush", None)
-    if flush is not None:
-        try:
-            flush(timeout=DRAIN_TIMEOUT)
-        except Exception:  # pragma: no cover - never lose the lifecycle msg
-            pass
-    failure = getattr(pump, "failure", None)
+    try:
+        pump.flush(timeout=DRAIN_TIMEOUT)
+    except Exception:  # pragma: no cover - never lose the lifecycle msg
+        pass
+    failure = pump.failure
     sent_info = (pump.sent,
                  None if failure is None
                  else f"{type(failure).__name__}: {failure}")
@@ -618,15 +766,306 @@ def run_worker(cfg: WorkerConfig, rank: int, fn, args, kwargs,
 # ----------------------------------------------------------------------
 # Master side
 # ----------------------------------------------------------------------
-class WorldServerMixin:
-    """Master-side world service shared by master-resident transports.
+class Link:
+    """Master-side state of one worker incarnation.
 
-    The deriving transport owns the wire (service threads, reply path)
-    and provides ``self._values`` / ``self._clocks`` / ``self._errors``
-    result slots, ``self._comm_members`` + ``self._members_lock`` for
-    the comm-membership mirror, and per-rank link objects with
-    ``rank`` / ``put_cond`` / ``puts_received`` for the drain barrier.
+    ``ctl`` and ``data`` are the master's ends (``None`` until a wire
+    that connects back attaches them).  ``put_cond`` guards the drain
+    barrier: ``puts_received`` counts deliveries folded into mailboxes,
+    ``data_done`` turns true once the data serve loop has exited (no
+    more can arrive), and ``failure`` is the wire error that ended a
+    serve loop, if any.  ``replaced`` marks an incarnation a respawned
+    replacement superseded: its teardown must not fail the rank the
+    replacement now holds.
     """
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+        self.ctl = None
+        self.data = None
+        self.send_lock = threading.Lock()  # serializes ctl replies + pushes
+        self.put_cond = threading.Condition()
+        self.puts_received = 0
+        self.data_done = False
+        self.failure: BaseException | None = None
+        self.finished = False  # lifecycle RPC fully processed
+        self.replaced = False
+
+    def wait_ready(self, deadline: float) -> bool:
+        """True once both ends are attached; False if ``deadline`` passed."""
+        return True
+
+    def retire(self) -> None:
+        """Called when a replacement supersedes this incarnation."""
+
+    def close(self) -> None:
+        for end in (self.ctl, self.data):
+            if end is not None:
+                end.close()
+
+
+def _wait_process(proc) -> None:
+    # multiprocessing.Process joins; subprocess.Popen waits.
+    join = getattr(proc, "join", None)
+    (join or proc.wait)()
+
+
+class WorldServerMixin:
+    """The master hub: one world served to one worker process per rank.
+
+    The hub owns :meth:`execute` end to end and both per-link serve
+    loops.  A deriving transport supplies only the wire:
+
+    ``_open_wire(context)``
+        Per-world setup before any worker starts.
+    ``_new_link(rank)``
+        A fresh :class:`Link` (one per rank and incarnation).
+    ``_launch(link, links, cfg, program)``
+        Start one worker for ``link`` running ``program = (fn, args,
+        kwargs)`` under ``cfg`` (``cfg.respawn_info`` is set for a
+        replacement); return its ``multiprocessing.Process`` or
+        ``subprocess.Popen``.
+    ``_recv_data(link, context)``
+        The next ``(header, arrays)`` data frame, or ``None`` once the
+        link has ended (a vanished worker is reported through
+        :meth:`_declare_lost` first).
+    ``_start_wire(links, context)`` / ``_close_wire(links)``
+        Optional: run after the initial launch / after every worker and
+        serve thread has ended.
+    ``_ingest_wire(context, link, header)``
+        Optional: data frames other than ``"put"`` and ``"hb"``.
+
+    ``connect_grace`` bounds how long :meth:`Link.wait_ready` may take.
+    """
+
+    connect_grace = 0.0
+
+    # -- lifecycle -------------------------------------------------------
+    def deliver(self, context, comm_id: int, dest_world: int, source: int,
+                tag: int, envelope) -> None:
+        # Master-side deliveries (none in normal operation) are local.
+        context.mailbox(comm_id, dest_world).put(source, tag, envelope)
+
+    def execute(self, context, fn, args: tuple, kwargs: dict):
+        nprocs = context.world_size
+        self._values = [None] * nprocs
+        self._clocks = [None] * nprocs
+        self._errors = [None] * nprocs
+        self._members_lock = threading.Lock()
+        self._comm_members = {WORLD_COMM_ID: list(range(nprocs))}
+        self._shutdown = threading.Event()
+        program = (fn, args, kwargs)
+        procs: list = []
+        threads: list = []
+        reap_lock = threading.Lock()
+
+        self._open_wire(context)
+        links = [self._new_link(r) for r in range(nprocs)]
+        # Abort/revoke must reach workers blocked in pure compute, not
+        # just those parked in an RPC: push them out-of-band.
+        context.add_abort_hook(
+            lambda reason: self._push(links, ("oob", "abort", reason))
+        )
+        context.add_revoke_hook(
+            lambda threshold, reason: self._push(
+                links, ("oob", "revoke", threshold, reason))
+        )
+
+        def launch(link: Link, cfg: WorkerConfig) -> None:
+            proc = self._launch(link, links, cfg, program)
+            with reap_lock:
+                procs.append(proc)
+
+        def serve(link: Link, deadline: float, late: str) -> None:
+            if not link.wait_ready(deadline):
+                self._declare_lost(
+                    link, context,
+                    f"{late} within {self.connect_grace:.0f}s")
+                return
+            for target, label in ((self._serve_ctl, "ctl"),
+                                  (self._serve_data, "data")):
+                thread = threading.Thread(
+                    target=target, args=(link, context), daemon=True,
+                    name=f"spmd-{self.name}-{label}-{link.rank}",
+                )
+                thread.start()
+                with reap_lock:
+                    threads.append(thread)
+
+        def respawn(rank: int) -> None:
+            # Elastic replacement: supersede the dead incarnation's
+            # link, forget its error (the replacement's lifecycle
+            # message owns the slot now), and relaunch the rank program
+            # at the same world position.  respawn_info tells the
+            # worker which incarnation it is and seeds the revocation
+            # threshold it missed while it was not running.
+            old = links[rank]
+            old.replaced = True
+            old.retire()
+            self._errors[rank] = None
+            link = links[rank] = self._new_link(rank)
+            rcfg = WorkerConfig(context)
+            rcfg.respawn_info = {
+                "incarnation": context.rank_incarnations[rank],
+                "crash_fired": (context.faults.crash_fires(rank)
+                                if context.faults is not None else None),
+                "revoked_below": context.revoked_below,
+                "revoke_reason": context.revoke_reason,
+            }
+            launch(link, rcfg)
+            threading.Thread(
+                target=serve,
+                args=(link, time.monotonic() + self.connect_grace,
+                      "replacement never connected"),
+                daemon=True, name=f"spmd-{self.name}-boot-{rank}",
+            ).start()
+
+        # Initial workers launch while the master is still single-
+        # threaded: forking a multi-threaded process can deadlock the
+        # children on locks held at fork time.
+        cfg = WorkerConfig(context)
+        for link in links:
+            launch(link, cfg)
+        context.set_respawner(respawn)
+        self._start_wire(links, context)
+        deadline = time.monotonic() + self.connect_grace
+        for link in list(links):
+            serve(link, deadline, "never connected")
+
+        reap(procs, reap_lock, _wait_process)
+        self._shutdown.set()
+        reap(threads, reap_lock, lambda thread: thread.join(timeout=10.0))
+        self._close_wire(links)
+        for link in links:
+            link.close()
+        return self._values, self._clocks, self._errors
+
+    def _start_wire(self, links: list, context) -> None:
+        pass
+
+    def _close_wire(self, links: list) -> None:
+        pass
+
+    @staticmethod
+    def _push(links: list, header: tuple) -> None:
+        """Send an out-of-band message to every attached worker."""
+        for link in links:
+            end = link.ctl
+            if end is None:
+                continue
+            with link.send_lock:
+                try:
+                    end.send(header)
+                except LinkClosed:
+                    pass  # worker already gone
+
+    # -- serve loops -----------------------------------------------------
+    def _serve_ctl(self, link: Link, context) -> None:
+        """Answer one worker's RPCs until its lifecycle report.
+
+        Each request is dispatched and answered with ``("ok", value)``
+        or ``("err", exception)``.  A closed end means the worker is
+        gone (the data loop reports that); any other receive or reply
+        error is a wire failure and becomes the rank's own error.
+        """
+        end = link.ctl
+        try:
+            while True:
+                (_, method, skeleton), arrays = end.recv()
+                try:
+                    reply = ("ok", self._dispatch(
+                        context, link, method, join_arrays(skeleton, arrays)))
+                except BaseException as exc:  # noqa: BLE001 - RPC error path
+                    reply = ("err", encode_exception(exc))
+                skeleton, arrays = split_arrays(reply)
+                views, descrs = prepare_arrays(arrays)
+                with link.send_lock:
+                    end.send(skeleton, descrs, views)
+                if reply[0] == "ok" and method in _LIFECYCLE:
+                    link.finished = True
+                    return
+        except LinkClosed:
+            return
+        except Exception as exc:  # noqa: BLE001 - a wire failure
+            self._link_failed(link, context, exc)
+            with link.send_lock:
+                end.close()  # wakes a worker awaiting its reply
+
+    def _serve_data(self, link: Link, context) -> None:
+        """Fold one worker's data frames into the world until the link ends.
+
+        ``"put"`` frames become mailbox deliveries counted for the drain
+        barrier, ``"hb"`` frames telemetry; other kinds go to the wire.
+        An error while receiving or ingesting is a wire failure and
+        becomes the rank's own error.  Exiting for any reason releases
+        a drain barrier waiting on this link.
+        """
+        try:
+            while True:
+                frame = self._recv_data(link, context)
+                if frame is None:
+                    return
+                header, arrays = frame
+                kind = header[0]
+                if kind == "put":
+                    _, comm_id, dest_world, source, tag, skeleton = header
+                    env = decode_envelope(join_arrays(skeleton, arrays))
+                    context.mailbox(comm_id, dest_world).put(source, tag, env)
+                    with link.put_cond:
+                        link.puts_received += 1
+                        link.put_cond.notify_all()
+                elif kind == "hb":
+                    self._ingest_heartbeat(context, *header[1:])
+                else:
+                    self._ingest_wire(context, link, header)
+        except Exception as exc:  # noqa: BLE001 - a wire failure
+            self._link_failed(link, context, exc)
+            end = link.data
+            if end is not None:
+                end.close()  # a worker still sending fails fast
+        finally:
+            with link.put_cond:
+                link.data_done = True
+                link.put_cond.notify_all()
+
+    def _ingest_wire(self, context, link: Link, header: tuple) -> None:
+        pass
+
+    # -- failure attribution ---------------------------------------------
+    def _declare_lost(self, link: Link, context, why: str) -> bool:
+        """Fail the rank of a worker that vanished; False if it had left."""
+        return self._fail_rank(link, context,
+                               RankFailedError(f"rank {link.rank} {why}"))
+
+    def _fail_rank(self, link: Link, context, err: BaseException) -> bool:
+        # A rank that already reported its outcome, or whose link a
+        # replacement superseded, is not failed again by its teardown;
+        # otherwise blocked partners now fast-fail with RankFailedError
+        # instead of timing out.
+        rank = link.rank
+        if link.replaced or context.rank_status(rank) != "running":
+            return False
+        if self._errors[rank] is None:
+            self._errors[rank] = err
+        context.mark_failed(rank)
+        return True
+
+    def _link_failed(self, link: Link, context, exc: BaseException) -> None:
+        """Record a wire error on a worker's link as the rank's own error.
+
+        The worker may still be alive, but nothing more it sends can be
+        trusted, so the rank fails with the wire error itself — not a
+        partner's later "rank N already failed" — and the world aborts
+        as if the rank had raised.  The error keeps its traceback.
+        """
+        rank = link.rank
+        with link.put_cond:
+            if link.replaced or link.failure is not None:
+                return
+            link.failure = exc
+        self._errors[rank] = exc
+        context.mark_failed(rank)
+        context.abort(f"rank {rank} link failed: {type(exc).__name__}: {exc}")
 
     # -- RPC dispatch ----------------------------------------------------
     def _dispatch(self, context, link, method: str, args: tuple):
@@ -696,12 +1135,8 @@ class WorldServerMixin:
         if method == "store_delete":
             context.store_delete(args[0], args[1])
             return None
-        if method in ("finalize", "rank_killed", "rank_error"):
-            payload, shards, sent_info = args
-            if isinstance(sent_info, tuple):
-                puts_sent, send_failure = sent_info
-            else:  # a pump that ships a bare count has a healthy path
-                puts_sent, send_failure = sent_info, None
+        if method in _LIFECYCLE:
+            payload, shards, (puts_sent, send_failure) = args
             return self._finish_rank(context, link, method, payload, shards,
                                      puts_sent, send_failure)
         raise CommunicatorError(f"unknown transport RPC {method!r}")
@@ -777,16 +1212,20 @@ class WorldServerMixin:
         # partner could observe "failed with an empty queue" and raise
         # RankFailedError for a message that was actually sent.  A rank
         # whose send pump already failed can never drain its missing
-        # puts: skip the doomed wait and attribute the loss below.
+        # puts: skip the doomed wait and attribute the loss below.  Nor
+        # can puts arrive once the link's data loop has exited.
         with link.put_cond:
             if send_failure is None:
                 deadline = time.monotonic() + DRAIN_TIMEOUT
                 while (link.puts_received < puts_sent
+                       and not link.data_done
                        and time.monotonic() < deadline):
                     link.put_cond.wait(timeout=0.1)
             lost = puts_sent - link.puts_received
         self._merge_shards(context, link.rank, shards)
         rank = link.rank
+        if link.failure is not None:
+            return True  # the wire error stays the rank's (_link_failed)
         if method == "finalize":
             if send_failure is not None and lost > 0:
                 # The program completed but some accepted deliveries

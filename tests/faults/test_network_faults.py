@@ -160,7 +160,7 @@ def test_dead_send_path_is_attributed_not_a_clean_finalize():
             # point reconnects at a port nothing listens on, so the
             # staged delivery below can never ship.
             pump = comm.context._pump
-            pump._fs.close()
+            pump._end.close()
             pump._addr = ("127.0.0.1", 1)
             comm.send(np.ones(4), 1, tag=7)
             return "finished"
