@@ -57,12 +57,13 @@ tracer (or a disabled one) each hook is a single thread-local read.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import zlib
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..errors import CommRevokedError, CommunicatorError, RankFailedError
+from ..errors import CommunicatorError
 from ..instrument import PHASE_COMM
 from ..obs.recorder import record_event as _record_event
 from ..obs.tracer import current_tracer, trace_span
@@ -74,10 +75,15 @@ __all__ = ["Communicator"]
 # Internal tag space for collectives: user tags must be >= 0.
 _COLLECTIVE_TAG_BASE = -1
 
-# Sentinel marking the scatter+allgather broadcast's metadata header.
-# Identity comparison is safe: the runtime is in-process, so the object
-# reference itself travels with the message.
-_SA_HEADER = object()
+
+class _SAHeader:
+    """Marks the scatter+allgather broadcast's metadata header.
+
+    Recognized by type, not identity: on the procs and sockets backends
+    the marker is pickled across a process boundary, where an
+    ``object()`` sentinel would arrive as a different object and the
+    header would be returned as the broadcast value.
+    """
 
 
 def _payload_nbytes(obj: Any) -> int:
@@ -523,25 +529,42 @@ class Communicator:
             ctx.check_revoked(self._comm_id)
         if ctx.faults is not None:
             ctx.faults.on_op(self.world_rank)
-        box = ctx.mailbox(self._comm_id, self.world_rank)
+        return self._complete_recv(source, tag, blocking=True)[1]
+
+    def _complete_recv(self, source: int, tag: int,
+                       blocking: bool) -> tuple[bool, Any]:
+        """Match one message from ``(source, tag)`` and account for it.
+
+        The one completion path of ``recv`` and ``irecv``: returns
+        ``(True, payload)`` after the receive accounting (sanitizer
+        move ledger, comm trace, flight recorder, logical clock), or
+        ``(False, None)`` when ``blocking`` is false and nothing has
+        matched yet.  A blocked wait runs the context's
+        :meth:`~repro.mpi.context.SpmdContext.blocking_recv`.
+        """
+        ctx = self._context
+        me = self.world_rank
         while True:
-            env = box.try_get(source, tag)
+            env = ctx.try_recv(self._comm_id, me, source, tag)
             if env is None:
-                env = self._recv_blocking(box, source, tag)
+                if not blocking:
+                    return False, None
+                env = ctx.blocking_recv(
+                    self._comm_id, me, source, self._members[source], tag)
             if self._validate_envelope(env, source, tag):
                 break
-        san = self._context.sanitizer
+        san = ctx.sanitizer
         if san is not None and env.moved:
-            san.note_received_move(env.payload, self.world_rank, env.origin)
-        if self._context.comm_trace is not None:
-            self._context.comm_trace.record_recv(self.world_rank, env.nbytes)
+            san.note_received_move(env.payload, me, env.origin)
+        if ctx.comm_trace is not None:
+            ctx.comm_trace.record_recv(me, env.nbytes)
         _record_event(
             "recv", peer=self._members[source], tag=tag,
             comm_id=self._comm_id, nbytes=env.nbytes,
         )
         if self.clock is not None:
             self.clock.sync_to(env.send_time)
-        return env.payload
+        return True, env.payload
 
     def _validate_envelope(self, env: Envelope, source: int, tag: int) -> bool:
         """Accept or discard one envelope (checksum + duplicate filter).
@@ -566,80 +589,6 @@ class Communicator:
             return False  # duplicate of an accepted message
         self._recv_seq[key] = env.seq + 1
         return True
-
-    def _recv_blocking(self, box, source: int, tag: int) -> Envelope:
-        """Block for a matched message, watching for dead partners.
-
-        The poll hook runs (outside the mailbox lock) whenever the wait
-        wakes without a match: it raises
-        :class:`~repro.errors.RankFailedError` once the awaited rank has
-        finalized or died with nothing left in the queue — so a receive
-        that can never be satisfied (including the exchanges inside
-        ``barrier``) fails fast instead of deadlocking — and, under an
-        active sanitizer, drives the wait-for-graph deadlock watchdog.
-        """
-        ctx = self._context
-        if getattr(ctx, "remote_recv", False):
-            # Process backend: the canonical blocked-receive protocol —
-            # failed-partner fast-fail, revocation checks, sanitizer
-            # wait-graph bookkeeping — runs master-side inside the RPC
-            # this proxy get issues; the worker just blocks on the reply.
-            try:
-                return box.get(source, tag, ctx.recv_timeout)
-            except CommRevokedError:
-                # A blocking wait is a deterministic observation point:
-                # arm this rank's entry-point revocation checks.
-                ctx.note_revocation_seen(self.world_rank)
-                raise
-        san = ctx.sanitizer
-        me = self.world_rank
-        src_world = self._members[source]
-
-        def poll() -> None:
-            status = ctx.rank_status(src_world)
-            # On a revoked epoch, raise only once the awaited message
-            # can never arrive — the partner is dead, finalized, or off
-            # recovering.  A partner still making progress gets to
-            # deliver, so consume-vs-raise is decided by program state,
-            # not by when the asynchronous revocation landed.
-            if (self._comm_id < ctx.revoked_below
-                    and not box.has(source, tag)
-                    and (status != "running"
-                         or ctx.is_recovering(src_world))):
-                ctx.note_revocation_seen(me)
-                ctx.check_revoked(self._comm_id)
-            if status != "running" and not box.has(source, tag):
-                if san is not None:
-                    diag = san.describe_failed_partner(
-                        me, src_world, source, tag, status, box,
-                        expected=ctx.faults is not None and status == "failed",
-                    )
-                    raise RankFailedError(diag.message, diagnostic=diag)
-                where = (
-                    f"recv(source={source}, tag={tag})" if tag >= 0
-                    else f"a collective exchange with rank {source}"
-                )
-                raise RankFailedError(
-                    f"rank {me} blocked in {where} "
-                    f"but rank {src_world} already {status}"
-                )
-            if san is not None:
-                san.on_stall(me)
-
-        interval = (
-            san.watchdog_interval if san is not None
-            else ctx.fault_poll_interval
-        )
-        if san is not None:
-            san.begin_wait(me, src_world, source, tag, self._comm_id, box)
-        try:
-            poll()  # the partner may already be gone
-            return box.get(
-                source, tag, ctx.recv_timeout, poll=poll, interval=interval
-            )
-        finally:
-            if san is not None:
-                san.end_wait(me)
 
     def sendrecv(self, obj: Any, partner: int, tag: int = 0, *, copy: bool = True) -> Any:
         """Exchange payloads with ``partner`` (MPI_Sendrecv, symmetric).
@@ -696,22 +645,8 @@ class Communicator:
         self._check_rank(source, "source")
         if tag < 0:
             raise CommunicatorError("user tags must be non-negative")
-        box = self._context.mailbox(self._comm_id, self.world_rank)
-
-        def complete(blocking: bool):
-            while True:
-                env = box.try_get(source, tag)
-                if env is None:
-                    if not blocking:
-                        return False, None
-                    env = self._recv_blocking(box, source, tag)
-                if self._validate_envelope(env, source, tag):
-                    break
-            if self.clock is not None:
-                self.clock.sync_to(env.send_time)
-            return True, env.payload
-
-        return Request("recv", complete_fn=complete)
+        return Request("recv", complete_fn=functools.partial(
+            self._complete_recv, source, tag))
 
     # ------------------------------------------------------------------
     # Collectives (all ranks must call in the same order)
@@ -772,7 +707,7 @@ class Communicator:
                     self._observe_message_size(f"bcast:{algo}", nbytes)
                 if algo == "scatter_allgather":
                     arr = np.asarray(obj)
-                    header = (_SA_HEADER, arr.shape, arr.dtype.name)
+                    header = (_SAHeader(), arr.shape, arr.dtype.name)
                     self._bcast_binomial(header, root, tag)
                     return self._bcast_scatter_allgather(arr, root)
                 if algo != "binomial":
@@ -782,7 +717,7 @@ class Communicator:
             if (
                 isinstance(value, tuple)
                 and len(value) == 3
-                and value[0] is _SA_HEADER
+                and isinstance(value[0], _SAHeader)
             ):
                 if sp is not None:
                     sp.set(algorithm="scatter_allgather")

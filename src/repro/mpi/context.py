@@ -58,6 +58,32 @@ class Envelope:
     checksum: int | None = None
 
 
+def _wait(cond: threading.Condition, attempt: Callable[[], Any],
+          poll: Callable[[], None], timeout: float, interval: float,
+          expired: Callable[[], Exception]) -> Any:
+    """The one blocked wait of the runtime (receives and rendezvous).
+
+    Each pass runs ``poll()`` *outside* ``cond`` — it may raise to abort
+    the wait, and may inspect other mailboxes or tables, so it must not
+    run under any of their locks — then ``attempt()`` under ``cond``,
+    returning its first non-None result.  Between passes the wait
+    sleeps at most ``interval`` seconds, or until ``cond`` is notified
+    (a delivery, a rendezvous freeze, or a world state change); once
+    ``timeout`` seconds have passed it raises ``expired()``.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        poll()
+        with cond:
+            result = attempt()
+            if result is not None:
+                return result
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise expired()
+            cond.wait(timeout=min(interval, remaining))
+
+
 class _Mailbox:
     """Per-(comm, destination-rank) mailbox with blocking matched receive."""
 
@@ -71,46 +97,24 @@ class _Mailbox:
             self._queues[(source, tag)].append(envelope)
             self._cond.notify_all()
 
-    def get(
-        self,
-        source: int,
-        tag: int,
-        timeout: float,
-        poll: Callable[[], None] | None = None,
-        interval: float | None = None,
-    ) -> Envelope:
-        """Blocking matched receive.
+    def get(self, source: int, tag: int, timeout: float,
+            poll: Callable[[], None], interval: float) -> Envelope:
+        """Blocking matched receive; ``poll`` runs as in :func:`_wait`."""
 
-        ``poll``, when given, is invoked *outside* the mailbox lock each
-        time the wait wakes without a match (message on another key,
-        world state change, or every ``interval`` seconds).  It may
-        raise to abort the receive — the hook through which the
-        sanitizer's deadlock watchdog and the rank-failure detector
-        interrupt a wait that can never be satisfied.  ``poll`` must not
-        be called while holding any mailbox lock (it may inspect other
-        mailboxes), which is why the loop releases the condition first.
-        """
-        key = (source, tag)
-        deadline = time.monotonic() + timeout
-        step = timeout if interval is None else min(interval, timeout)
-        while True:
-            with self._cond:
-                q = self._queues.get(key)
-                if q:
-                    return q.popleft()
-                if self._abort.is_set():
-                    raise WorldAbortedError(
-                        "SPMD world aborted while receiving"
-                    )
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommunicatorError(
-                        f"receive timed out after {timeout}s waiting for "
-                        f"(source={source}, tag={tag}) — likely deadlock"
-                    )
-                self._cond.wait(timeout=min(step, remaining))
-            if poll is not None:
-                poll()
+        def attempt() -> Envelope | None:
+            q = self._queues.get((source, tag))
+            if q:
+                return q.popleft()
+            if self._abort.is_set():
+                raise WorldAbortedError("SPMD world aborted while receiving")
+            return None
+
+        return _wait(self._cond, attempt, poll, timeout, interval, lambda: (
+            CommunicatorError(
+                f"receive timed out after {timeout}s waiting for "
+                f"(source={source}, tag={tag}) — likely deadlock"
+            )
+        ))
 
     def has(self, source: int, tag: int) -> bool:
         """True when a matched message is queued (no dequeue)."""
@@ -143,205 +147,25 @@ class _Mailbox:
             self._cond.notify_all()
 
 
-class _SplitBarrier:
-    """Rendezvous used by collective setup ops (split/dup).
+class _Rendezvous:
+    """One round of a collective setup op: split/dup, shrink or replace.
 
-    Every member of the parent communicator contributes a value; the
-    last arrival computes the result via ``combine`` and publishes it.
-    A fresh instance serves each collective call, keyed by the parent's
-    per-communicator operation sequence number.
-    """
-
-    def __init__(self, size: int) -> None:
-        self._size = size
-        self._cond = threading.Condition()
-        self._contributions: dict[int, Any] = {}
-        self._result: Any = None
-        self._done = False
-
-    def contribute(
-        self,
-        rank: int,
-        value: Any,
-        combine,
-        timeout: float,
-        poll: Callable[[set], None] | None = None,
-        interval: float | None = None,
-    ):
-        """Contribute and block until every member has (honors ``timeout``).
-
-        ``poll``, when given, runs (outside the lock) with the set of
-        ranks that have contributed so far each time the wait wakes
-        without a result — every ``interval`` seconds, or whenever the
-        context wakes rendezvous tables on an abort/rank-death/revoke.
-        It may raise to abort the wait, which is how a split blocked on
-        a member that has already died fails fast with
-        :class:`~repro.errors.RankFailedError` instead of sitting out
-        the full timeout.
-        """
-        deadline = time.monotonic() + timeout
-        step = timeout if interval is None else min(interval, timeout)
-        with self._cond:
-            if rank in self._contributions:
-                raise CommunicatorError(f"rank {rank} contributed twice to a split")
-            self._contributions[rank] = value
-            if len(self._contributions) == self._size:
-                self._result = combine(self._contributions)
-                self._done = True
-                self._cond.notify_all()
-                return self._result
-        while True:
-            with self._cond:
-                if self._done:
-                    return self._result
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommunicatorError(
-                        "collective setup timed out — likely deadlock"
-                    )
-                self._cond.wait(timeout=min(step, remaining))
-                contributed = set(self._contributions)
-            if poll is not None:
-                poll(contributed)
-
-    def wake(self) -> None:
-        """Wake blocked contributors so they re-run their poll hooks."""
-        with self._cond:
-            self._cond.notify_all()
-
-
-class _ShrinkTable:
-    """Rendezvous for :meth:`Communicator.shrink` (ULFM shrink analogue).
-
-    Unlike :class:`_SplitBarrier`, the membership is *discovered*, not
-    fixed: the table freezes its result once every member of the parent
-    communicator that is still running has contributed.  Ranks that die
-    mid-shrink simply fall out of the survivor set on the next poll, so
-    the rendezvous tolerates exactly the failures it exists to recover
-    from.
+    Every member contributes one value under ``cond``; the op's freeze
+    rule publishes ``result`` once the round is complete.  ``respawns``
+    counts, for a replace round, the respawns issued per world rank
+    (capped by the context so a rank that dies instantly forever cannot
+    spin).
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._contributions: dict[int, int] = {}  # old rank -> world rank
-        self._result: tuple[int, list[int]] | None = None
-
-    def contribute(
-        self,
-        rank: int,
-        world_rank: int,
-        running_old_ranks: Callable[[], set],
-        allocate_comm_id: Callable[[], int],
-        timeout: float,
-        interval: float,
-    ) -> tuple[int, list[int]]:
-        """Register a survivor; returns ``(new_comm_id, ordered old ranks)``.
-
-        ``running_old_ranks`` is re-evaluated on every wake (it may also
-        raise, e.g. on world abort); the freeze happens when the set of
-        contributors covers every still-running member, and the *new*
-        communicator id is allocated inside the freeze — after any
-        survivor's revocation, so the fresh epoch is never poisoned by
-        the revocation threshold.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            survivors = running_old_ranks()
-            with self._cond:
-                self._contributions.setdefault(rank, world_rank)
-                if self._result is None and survivors <= set(self._contributions):
-                    ordered = sorted(r for r in self._contributions if r in survivors)
-                    self._result = (allocate_comm_id(), ordered)
-                    self._cond.notify_all()
-                if self._result is not None:
-                    return self._result
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise CommunicatorError(
-                        f"shrink timed out after {timeout}s waiting for "
-                        f"survivors {sorted(survivors - set(self._contributions))}"
-                    )
-                self._cond.wait(timeout=min(interval, remaining))
-
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-
-class _ReplaceTable:
-    """Rendezvous for :meth:`Communicator.replace` (elastic rebuild).
-
-    Unlike :class:`_ShrinkTable`, the target membership is *fixed* — the
-    full original world — and part of it does not exist yet when the
-    round opens: the failed ranks still have to be respawned.  The
-    waiters therefore drive the replacement protocol themselves: every
-    poll asks the context to respawn any failed rank that has not yet
-    joined, which also re-drives the respawn when a replacement dies
-    before contributing (a ``repeat`` crash rule, say).  The table
-    freezes — and allocates the fresh epoch's communicator id — once
-    all ``world_size`` ranks have contributed.
-    """
-
-    def __init__(self, round_no: int, world_size: int) -> None:
-        self.round_no = round_no
-        self._size = world_size
-        self._cond = threading.Condition()
-        self._contributions: set[int] = set()
-        self._result: int | None = None
-        # world rank -> respawns issued this round (capped by the
-        # context so a rank that dies instantly forever cannot spin).
+        self.cond = threading.Condition()
+        self.contributions: dict[int, Any] = {}
+        self.result: Any = None
         self.respawns: dict[int, int] = {}
 
-    @property
-    def done(self) -> bool:
-        with self._cond:
-            return self._result is not None
-
     def contributed(self) -> set[int]:
-        with self._cond:
-            return set(self._contributions)
-
-    def contribute(
-        self,
-        world_rank: int,
-        allocate_comm_id: Callable[[], int],
-        ensure_replacements: Callable[["_ReplaceTable"], None],
-        timeout: float,
-        interval: float,
-    ) -> int:
-        """Register one rank; blocks until the whole world has rejoined.
-
-        The new communicator id is allocated inside the freeze — after
-        every participant (survivors *and* replacements) has revoked
-        and contributed — so the fresh epoch is never poisoned by the
-        revocation threshold.
-        """
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            self._contributions.add(world_rank)
-            if self._result is None and len(self._contributions) == self._size:
-                self._result = allocate_comm_id()
-                self._cond.notify_all()
-            if self._result is not None:
-                return self._result
-        while True:
-            # Outside the lock: may fork/spawn a worker or raise.
-            ensure_replacements(self)
-            with self._cond:
-                if self._result is not None:
-                    return self._result
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    missing = sorted(set(range(self._size)) - self._contributions)
-                    raise CommunicatorError(
-                        f"replace timed out after {timeout}s waiting for "
-                        f"ranks {missing} to rejoin"
-                    )
-                self._cond.wait(timeout=min(interval, remaining))
-
-    def wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+        with self.cond:
+            return set(self.contributions)
 
 
 class SpmdContext:
@@ -392,10 +216,11 @@ class SpmdContext:
         self._comm_id_counter = itertools.count(1)
         self._comm_id_lock = threading.Lock()
         self._last_comm_id = 0
-        self._split_tables: dict[tuple[int, int], _SplitBarrier] = {}
-        self._split_lock = threading.Lock()
-        self._shrink_tables: dict[tuple[int, int], _ShrinkTable] = {}
-        self._shrink_lock = threading.Lock()
+        # Rendezvous rounds of split/dup, shrink and replace, keyed by
+        # (op, parent comm id, op sequence number) — (op, round) for
+        # replace.
+        self._rendezvous: dict[tuple, _Rendezvous] = {}
+        self._rendezvous_lock = threading.Lock()
         # Epoch revocation (ULFM MPI_Comm_revoke analogue): operations on
         # any communicator with id below this threshold raise
         # CommRevokedError.  Monotone non-decreasing; 0 disables.
@@ -439,9 +264,7 @@ class SpmdContext:
         # for the postmortem bundle and live telemetry.
         self._respawner = None
         self._respawn_lock = threading.Lock()
-        self._replace_table: _ReplaceTable | None = None
         self._replace_round = 0
-        self._replace_lock = threading.Lock()
         self.max_respawns_per_round = 8
         self.rank_incarnations = [0] * world_size
         self.recovery_log: list[dict] = []
@@ -487,19 +310,12 @@ class SpmdContext:
         self.wake_rendezvous()
 
     def wake_rendezvous(self) -> None:
-        """Wake ranks blocked in split/shrink rendezvous (re-poll)."""
-        with self._split_lock:
-            split_tables = list(self._split_tables.values())
-        for table in split_tables:
-            table.wake()
-        with self._shrink_lock:
-            shrink_tables = list(self._shrink_tables.values())
-        for table in shrink_tables:
-            table.wake()
-        with self._replace_lock:
-            replace_table = self._replace_table
-        if replace_table is not None:
-            replace_table.wake()
+        """Wake ranks blocked in a split/shrink/replace rendezvous (re-poll)."""
+        with self._rendezvous_lock:
+            tables = list(self._rendezvous.values())
+        for table in tables:
+            with table.cond:
+                table.cond.notify_all()
 
     # -- rank lifecycle ------------------------------------------------
     def rank_status(self, world_rank: int) -> str:
@@ -630,6 +446,102 @@ class SpmdContext:
                 f"SPMD world aborted: {self.abort_reason or 'unknown reason'}"
             )
 
+    # -- blocked waits -------------------------------------------------
+    @property
+    def poll_interval(self) -> float:
+        """Seconds a blocked wait sleeps between polls.
+
+        The sanitizer's watchdog interval, else the fault-tolerance
+        poll interval (so revocation and rank death are noticed
+        promptly), else 0.25 s.
+        """
+        if self.sanitizer is not None:
+            return self.sanitizer.watchdog_interval
+        if self.resilience is not None:
+            return self.resilience.poll_interval
+        if self.faults is not None:
+            return 0.05
+        return 0.25
+
+    def _lost_partner(self, comm_id: int, me: int, partner: int,
+                      pending: Callable[[], bool] | None = None) -> str | None:
+        """The dead-or-recovering-partner rule of every blocked wait.
+
+        ``me`` waits on ``comm_id`` for world rank ``partner``;
+        ``pending()`` says whether what it waits for has already
+        arrived.  When it has not and the partner is dead, finalized
+        or — on a revoked epoch — off recovering, the wait can never be
+        satisfied.  On a revoked epoch that raises
+        :class:`~repro.errors.CommRevokedError` (a partner still making
+        progress gets to deliver, so consume-vs-raise is decided by
+        program state, not by when the revocation landed).  Otherwise
+        the partner's status is returned when it is not running, and
+        the caller raises :class:`~repro.errors.RankFailedError`.
+        The status is read before ``pending()``: a rank's deliveries
+        are all in mailboxes before it is marked finalized or failed.
+        """
+        status = self.rank_status(partner)
+        if status == "running" and not self.is_recovering(partner):
+            return None
+        if pending is not None and pending():
+            return None
+        if comm_id < self.revoked_below:
+            self.note_revocation_seen(me)
+            self.check_revoked(comm_id)
+        return None if status == "running" else status
+
+    def try_recv(self, comm_id: int, me: int, source: int,
+                 tag: int) -> Envelope | None:
+        """Non-blocking matched receive from ``me``'s mailbox."""
+        return self.mailbox(comm_id, me).try_get(source, tag)
+
+    def blocking_recv(self, comm_id: int, me: int, source: int,
+                      src_world: int, tag: int) -> Envelope:
+        """The blocked receive: wait for ``(source, tag)`` on ``comm_id``.
+
+        ``source`` is the comm rank and ``src_world`` the world rank
+        of the awaited partner.  Runs where the world state lives: in
+        the rank's thread on the threads backend, on the master inside
+        the worker's ``box_get`` RPC on procs and sockets.  The wait
+        fails fast with :class:`~repro.errors.RankFailedError` (with
+        the sanitizer's diagnosis when one is attached) once the
+        partner can never deliver, raises on a revoked epoch per
+        :meth:`_lost_partner`, and under a sanitizer registers the wait
+        in the wait-for graph and ticks the stall watchdog.
+        """
+        box = self.mailbox(comm_id, me)
+        san = self.sanitizer
+
+        def poll() -> None:
+            status = self._lost_partner(
+                comm_id, me, src_world, lambda: box.has(source, tag))
+            if status is not None:
+                if san is not None:
+                    diag = san.describe_failed_partner(
+                        me, src_world, source, tag, status, box,
+                        expected=self.faults is not None and status == "failed",
+                    )
+                    raise RankFailedError(diag.message, diagnostic=diag)
+                where = (
+                    f"recv(source={source}, tag={tag})" if tag >= 0
+                    else f"a collective exchange with rank {source}"
+                )
+                raise RankFailedError(
+                    f"rank {me} blocked in {where} "
+                    f"but rank {src_world} already {status}"
+                )
+            if san is not None:
+                san.on_stall(me)
+
+        if san is not None:
+            san.begin_wait(me, src_world, source, tag, comm_id, box)
+        try:
+            return box.get(source, tag, self.recv_timeout, poll,
+                           self.poll_interval)
+        finally:
+            if san is not None:
+                san.end_wait(me)
+
     # -- collective setup ----------------------------------------------
     def allocate_comm_id(self) -> int:
         """Hand out a fresh communicator id (thread-safe)."""
@@ -637,34 +549,37 @@ class SpmdContext:
             self._last_comm_id = next(self._comm_id_counter)
             return self._last_comm_id
 
-    def split_barrier(self, parent_comm_id: int, seqno: int, size: int) -> _SplitBarrier:
-        """Rendezvous table for the ``seqno``-th collective setup op."""
-        key = (parent_comm_id, seqno)
-        with self._split_lock:
-            table = self._split_tables.get(key)
-            if table is None:
-                table = _SplitBarrier(size)
-                self._split_tables[key] = table
-            return table
+    def _rendezvous_round(self, key: tuple, rank: int, value: Any,
+                          freeze: Callable[[dict], Any],
+                          poll: Callable[[_Rendezvous], None],
+                          expired: Callable[[_Rendezvous], Exception]) -> Any:
+        """One rank's contribution to the round at ``key``; blocks for its result.
 
-    def shrink_table(self, parent_comm_id: int, seqno: int) -> _ShrinkTable:
-        """Rendezvous table for the ``seqno``-th shrink of one communicator."""
-        key = (parent_comm_id, seqno)
-        with self._shrink_lock:
-            table = self._shrink_tables.get(key)
+        ``freeze(contributions)`` runs under the round's lock after
+        each wake and returns the round's result once it is complete
+        (None until then); ``poll(table)`` runs outside the lock and
+        may raise to abandon the wait (see :func:`_wait`).
+        """
+        with self._rendezvous_lock:
+            table = self._rendezvous.get(key)
             if table is None:
-                table = _ShrinkTable()
-                self._shrink_tables[key] = table
-            return table
+                table = self._rendezvous[key] = _Rendezvous()
+        with table.cond:
+            if rank in table.contributions:
+                raise CommunicatorError(
+                    f"rank {rank} contributed twice to a {key[0]}")
+            table.contributions[rank] = value
 
-    def _rendezvous_interval(self) -> float:
-        """Poll cadence for rendezvous waits (dead-member detection)."""
-        interval = (
-            self.sanitizer.watchdog_interval if self.sanitizer is not None
-            else self.fault_poll_interval
-        )
-        # Dead-member detection even without faults or a sanitizer.
-        return 0.25 if interval is None else interval
+        def attempt() -> Any:
+            if table.result is None:
+                table.result = freeze(table.contributions)
+                if table.result is not None:
+                    table.cond.notify_all()
+            return table.result
+
+        return _wait(table.cond, attempt, lambda: poll(table),
+                     self.recv_timeout, self.poll_interval,
+                     lambda: expired(table))
 
     def split_rendezvous(
         self,
@@ -681,14 +596,15 @@ class SpmdContext:
         Runs entirely on the side that owns the world state (the caller
         for the threads backend, the master for the process backend):
         grouping, ordering, *and the new communicator-id allocation*
-        happen once, inside the last contributor's combine, so ids are
+        happen once, inside the last contributor's freeze, so ids are
         handed out exactly once per color group regardless of which
         process asked.  Returns the full ``{color: (new_comm_id,
         world_members, old_ranks)}`` map.
         """
-        table = self.split_barrier(parent_comm_id, seqno, size)
 
-        def combine(contributions: dict[int, tuple]) -> dict:
+        def freeze(contributions: dict[int, tuple]) -> dict | None:
+            if len(contributions) < size:
+                return None
             groups: dict[int, list] = {}
             for old_rank, (c, k) in contributions.items():
                 if c is not None:
@@ -704,32 +620,25 @@ class SpmdContext:
                 )
             return out
 
-        def poll(contributed: set) -> None:
-            # A split blocked on a member that can never contribute —
-            # dead, finalized, or off recovering a revoked epoch — can
-            # never complete; fail fast like a blocked receive would.
-            # Members that are still making progress get to contribute
-            # even after a revocation lands, so whether this split
-            # completes or raises is decided by program state alone.
+        def poll(table: _Rendezvous) -> None:
+            # A split blocked on a member that can never contribute
+            # fails fast like a blocked receive would.
             self.check_alive()
-            revoked = parent_comm_id < self.revoked_below
+            contributed = table.contributed()
             for old, world in enumerate(members):
                 if old in contributed:
                     continue
-                status = self.rank_status(world)
-                if revoked and (status != "running"
-                                or self.is_recovering(world)):
-                    self.note_revocation_seen(world_rank)
-                    self.check_revoked(parent_comm_id)
-                if status != "running":
+                status = self._lost_partner(parent_comm_id, world_rank, world)
+                if status is not None:
                     raise RankFailedError(
                         f"rank {world_rank} blocked in split "
                         f"but member rank {world} already {status}"
                     )
 
-        return table.contribute(
-            rank, value, combine, self.recv_timeout,
-            poll=poll, interval=self._rendezvous_interval(),
+        return self._rendezvous_round(
+            ("split", parent_comm_id, seqno), rank, value, freeze, poll,
+            lambda table: CommunicatorError(
+                "collective setup timed out — likely deadlock"),
         )
 
     def shrink_rendezvous(
@@ -742,40 +651,52 @@ class SpmdContext:
     ) -> tuple[int, list[int]]:
         """One survivor's contribution to a shrink, blocking for the rest.
 
-        Like :meth:`split_rendezvous`, this runs where the world state
-        lives, so the survivor discovery (``running_world_ranks``) and
-        the post-revocation communicator-id allocation are a single
-        authoritative computation.  Returns ``(new_comm_id, ordered old
-        ranks)``.
+        Unlike a split, the membership is *discovered*, not fixed: the
+        round freezes once every member of the parent communicator that
+        is still running has contributed, so ranks that die mid-shrink
+        simply fall out of the survivor set.  The survivor discovery
+        and the fresh epoch's communicator id are one authoritative
+        computation where the world state lives; the id is allocated
+        inside the freeze — after every survivor's revocation, so the
+        fresh epoch is never poisoned by the revocation threshold.
+        Returns ``(new_comm_id, ordered old ranks)``.
         """
-        table = self.shrink_table(parent_comm_id, seqno)
 
-        def running_old_ranks() -> set:
-            self.check_alive()
+        def survivors() -> set:
             running = self.running_world_ranks()
             return {i for i, w in enumerate(members) if w in running}
 
-        def allocate() -> int:
-            # Freeze point: every survivor has arrived, the recovery is
-            # committed — nobody is "recovering" any more, so the next
-            # failure round starts with a clean visibility slate.
+        def freeze(contributions: dict) -> tuple[int, list[int]] | None:
+            alive = survivors()
+            if not alive <= contributions.keys():
+                return None
+            # Every survivor has arrived and the recovery is committed:
+            # nobody is "recovering" any more, so the next failure
+            # round starts with a clean visibility slate.
             self._recovering.clear()
-            return self.allocate_comm_id()
+            ordered = sorted(r for r in contributions if r in alive)
+            return self.allocate_comm_id(), ordered
 
-        interval = self.fault_poll_interval or 0.25
-        return table.contribute(
-            rank, world_rank, running_old_ranks,
-            allocate, self.recv_timeout, interval,
+        return self._rendezvous_round(
+            ("shrink", parent_comm_id, seqno), rank, world_rank, freeze,
+            lambda table: self.check_alive(),
+            lambda table: CommunicatorError(
+                f"shrink timed out after {self.recv_timeout}s waiting for "
+                f"survivors {sorted(survivors() - table.contributions.keys())}"
+            ),
         )
 
     def replace_rendezvous(self, world_rank: int) -> tuple[int, int]:
         """One rank's contribution to a full-world replace.
 
-        Survivors and freshly respawned replacements all land here; the
-        round's table respawns any failed rank that has not yet joined
-        (and respawns it *again* if the replacement dies first), then
-        freezes once the entire original world has contributed.
-        Returns ``(new_comm_id, replace_round)``.
+        Survivors and freshly respawned replacements all land here.
+        The target membership is the full original world, part of which
+        does not exist yet when the round opens, so every poll respawns
+        any failed rank that has not yet joined (and respawns it
+        *again* if the replacement dies first).  The round freezes —
+        and allocates the fresh epoch's communicator id, after every
+        participant has revoked — once the entire original world has
+        contributed.  Returns ``(new_comm_id, replace_round)``.
 
         Keyed by a world-global round counter rather than the parent
         communicator's operation sequence, because a replacement worker
@@ -788,30 +709,40 @@ class SpmdContext:
                 "ranks; run under run_spmd with the threads, procs, or "
                 "sockets backend"
             )
-        with self._replace_lock:
-            table = self._replace_table
-            if table is None or table.done:
+        with self._rendezvous_lock:
+            table = self._rendezvous.get(("replace", self._replace_round))
+            if table is None or table.result is not None:
                 self._replace_round += 1
-                table = _ReplaceTable(self._replace_round, self.world_size)
-                self._replace_table = table
+                table = _Rendezvous()
+                self._rendezvous[("replace", self._replace_round)] = table
+            round_no = self._replace_round
 
-        def allocate() -> int:
+        def freeze(contributions: dict) -> int | None:
+            if len(contributions) < self.world_size:
+                return None
             self._recovering.clear()
             new_id = self.allocate_comm_id()
             self.log_recovery(
-                "replace_commit", round=table.round_no, comm_id=new_id,
+                "replace_commit", round=round_no, comm_id=new_id,
                 respawns=dict(table.respawns),
             )
             return new_id
 
-        interval = self.fault_poll_interval or 0.25
-        new_id = table.contribute(
-            world_rank, allocate, self._ensure_replacements,
-            self.recv_timeout, interval,
-        )
-        return new_id, table.round_no
+        def expired(table: _Rendezvous) -> Exception:
+            missing = sorted(set(range(self.world_size))
+                             - table.contributions.keys())
+            return CommunicatorError(
+                f"replace timed out after {self.recv_timeout}s waiting for "
+                f"ranks {missing} to rejoin"
+            )
 
-    def _ensure_replacements(self, table: _ReplaceTable) -> None:
+        new_id = self._rendezvous_round(
+            ("replace", round_no), world_rank, None, freeze,
+            lambda table: self._ensure_replacements(table, round_no), expired,
+        )
+        return new_id, round_no
+
+    def _ensure_replacements(self, table: _Rendezvous, round_no: int) -> None:
         """Respawn every failed rank that has not yet joined ``table``.
 
         Serialized by a dedicated lock so concurrent pollers issue each
@@ -829,7 +760,7 @@ class SpmdContext:
                 if count >= self.max_respawns_per_round:
                     raise CommunicatorError(
                         f"rank {r} died {count} times during replace "
-                        f"round {table.round_no}; giving up on replacement"
+                        f"round {round_no}; giving up on replacement"
                     )
                 table.respawns[r] = count + 1
                 self.mark_respawned(r)
@@ -845,8 +776,9 @@ class SpmdContext:
         immediately.  Communicator ids allocated *after* the revocation
         (the post-shrink epoch) are unaffected.  Idempotent and safe to
         call concurrently from several survivors: the threshold only
-        ever grows, and :class:`_ShrinkTable` allocates the new epoch's
-        id strictly after every survivor has revoked and contributed.
+        ever grows, and the shrink and replace rendezvous allocate the
+        new epoch's id strictly after every participant has revoked and
+        contributed.
         """
         with self._comm_id_lock:
             threshold = self._last_comm_id + 1
@@ -885,21 +817,6 @@ class SpmdContext:
     def is_recovering(self, world_rank: int) -> bool:
         """True between a rank's revoke() and the next rendezvous freeze."""
         return world_rank in self._recovering
-
-    # -- fault-tolerance plumbing --------------------------------------
-    @property
-    def fault_poll_interval(self) -> float | None:
-        """Seconds between dead-partner polls while blocked (or None).
-
-        Populated when faults or resilience are active so blocked
-        receives notice revocation and rank death promptly even without
-        the sanitizer's watchdog.
-        """
-        if self.resilience is not None:
-            return self.resilience.poll_interval
-        if self.faults is not None:
-            return 0.05
-        return None
 
     # -- node-local checkpoint store -----------------------------------
     def store_put(self, holder: int, key, value) -> None:

@@ -2,9 +2,9 @@
 
 The communicator layer is transport-agnostic: it builds
 :class:`~repro.mpi.context.Envelope` objects and hands them to
-``context.deliver(...)``; blocking receives go through the context's
-mailbox objects.  A :class:`Transport` decides what sits behind those
-two seams:
+``context.deliver(...)``; receives go through the context's
+``try_recv`` / ``blocking_recv``.  A :class:`Transport` decides what
+sits behind those two seams:
 
 * :class:`~repro.mpi.transport.threads.ThreadTransport` — ranks are
   threads of the calling process; ``deliver`` is a direct in-memory

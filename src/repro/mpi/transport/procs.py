@@ -31,10 +31,10 @@ draining fire-and-forget deliveries into the destination mailbox (its
 EOF is how a hard-died worker is detected and surfaced to partners as
 :class:`~repro.errors.RankFailedError`; a ring failure instead becomes
 the rank's own error), and a *control* thread
-serving blocking RPCs — including the canonical blocked-receive
-protocol with failed-partner fast-fail, revocation checks, and the
-sanitizer's wait-for-graph bookkeeping, all of which therefore behave
-identically to the threads backend.
+serving blocking RPCs.  A worker's blocked receive is the master's
+``SpmdContext.blocking_recv`` — the method the threads backend runs
+in-process — so failed-partner fast-fail, revocation checks, and the
+sanitizer's wait-for-graph bookkeeping behave identically on both.
 
 Delivery counters (``puts sent`` vs ``puts received``) gate the rank
 lifecycle: a worker's finalize/crash report is processed only after

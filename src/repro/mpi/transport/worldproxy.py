@@ -10,18 +10,20 @@ the wire lives here.
 What the hub owns
 -----------------
 * Worker side: :class:`WorkerContext` (the rank-local ``SpmdContext``
-  stand-in), :class:`MailboxProxy`, :class:`WorkerSanitizer`, the
-  observability shards (:func:`delta_shards`, :func:`collect_shards`,
-  :class:`Heartbeat`), the RPC client :class:`Channel` (one reply loop
-  that applies and skips out-of-band pushes), the :class:`SendPump`
-  (queue, completion tokens, ``sent``/``failure`` counters), and
-  :func:`run_worker`, the worker main loop.
+  stand-in), :class:`WorkerSanitizer`, the observability shards
+  (:func:`delta_shards`, :func:`collect_shards`, :class:`Heartbeat`),
+  the RPC client :class:`Channel` (one reply loop that applies and
+  skips out-of-band pushes), the :class:`SendPump` (queue, completion
+  tokens, ``sent``/``failure`` counters), and :func:`run_worker`, the
+  worker main loop.
 * Master side: :class:`WorldServerMixin` — ``execute`` end to end
-  (result slots, comm-membership mirror, abort/revoke pushes, launch,
-  elastic respawn, join-by-index reaping), the ctl serve loop (RPC
-  dispatch with the canonical blocked receive, lifecycle reply), the
-  data serve loop (envelope ingest, drain counting, heartbeats), the
-  delivery-drain barrier, failure attribution, and shard merging.
+  (result slots, abort/revoke pushes, launch, elastic respawn,
+  join-by-index reaping), the ctl serve loop (RPC dispatch onto the
+  master's ``SpmdContext`` — a worker's blocked receive is its
+  :meth:`~repro.mpi.context.SpmdContext.blocking_recv`, run inside the
+  ``box_get`` RPC — and the lifecycle reply), the data serve loop
+  (envelope ingest, drain counting, heartbeats), the delivery-drain
+  barrier, failure attribution, and shard merging.
 * The message formats: envelopes cross as
   :func:`~repro.mpi.transport.codec.encode_envelope` tuples with their
   arrays lifted out by the codec, so only :mod:`~repro.mpi.transport.
@@ -74,7 +76,6 @@ __all__ = [
     "DRAIN_TIMEOUT",
     "SendToken",
     "WorkerConfig",
-    "MailboxProxy",
     "WorkerSanitizer",
     "WorkerContext",
     "delta_shards",
@@ -122,9 +123,8 @@ class WorkerConfig:
 
     __slots__ = (
         "world_size", "cost_model", "recv_timeout", "tuning", "resilience",
-        "faults", "comm_trace", "tracer", "has_sanitizer",
-        "watchdog_interval", "recorder", "heartbeat_interval",
-        "respawn_info",
+        "faults", "comm_trace", "tracer", "has_sanitizer", "recorder",
+        "heartbeat_interval", "respawn_info",
     )
 
     def __init__(self, context) -> None:
@@ -137,10 +137,6 @@ class WorkerConfig:
         self.comm_trace = context.comm_trace
         self.tracer = context.tracer
         self.has_sanitizer = context.sanitizer is not None
-        self.watchdog_interval = (
-            context.sanitizer.watchdog_interval
-            if context.sanitizer is not None else None
-        )
         self.recorder = getattr(context, "recorder", None)
         # Telemetry streaming cadence; None disables the worker
         # heartbeat thread entirely (no recorder, no telemetry hub).
@@ -162,61 +158,30 @@ class WorkerConfig:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-class MailboxProxy:
-    """Worker-side view of one master mailbox (receive RPCs)."""
-
-    __slots__ = ("_channel", "_comm_id", "_world_rank")
-
-    def __init__(self, channel, comm_id: int, world_rank: int) -> None:
-        self._channel = channel
-        self._comm_id = comm_id
-        self._world_rank = world_rank
-
-    def get(self, source: int, tag: int, timeout: float,
-            poll=None, interval=None) -> Envelope:
-        # poll/interval are intentionally unused: the canonical blocked-
-        # receive protocol (dead-partner fast-fail, revocation, deadlock
-        # watchdog) runs master-side inside this RPC.
-        return decode_envelope(self._channel.call(
-            "box_get", self._comm_id, self._world_rank, source, tag
-        ))
-
-    def try_get(self, source: int, tag: int) -> Envelope | None:
-        return decode_envelope(self._channel.call(
-            "box_try_get", self._comm_id, self._world_rank, source, tag
-        ))
-
-    def has(self, source: int, tag: int) -> bool:
-        return bool(self._channel.call(
-            "box_has", self._comm_id, self._world_rank, source, tag
-        ))
-
-
 class WorkerSanitizer:
     """Worker-side sanitizer proxy.
 
     Collective matching is world state and forwards to the master's
-    sanitizer; the blocked-receive hooks (wait graph, stall watchdog,
-    failed-partner diagnosis) run master-side inside ``box_get`` and
-    are no-ops here.  Move-ownership tracking is *rank-local* state:
-    a worker-resident :class:`~repro.sanitize.Sanitizer` ledger
-    registers every buffer this rank relinquishes or receives frozen —
-    with the real call sites, since moves originate in this very
-    address space (receive-side origins arrive in the envelope wire
-    metadata) — so use-after-move enforcement raises with the true
-    send site instead of degrading to a bare NumPy ``ValueError``.
-    The ledger's findings ship home with the lifecycle shards.
+    sanitizer.  The blocked-receive hooks (wait graph, stall watchdog,
+    failed-partner diagnosis) need no proxy: the blocked receive itself
+    runs on the master, inside ``box_get``.  Move-ownership tracking is
+    *rank-local* state: a worker-resident :class:`~repro.sanitize.
+    Sanitizer` ledger registers every buffer this rank relinquishes or
+    receives frozen — with the real call sites, since moves originate
+    in this very address space (receive-side origins arrive in the
+    envelope wire metadata) — so use-after-move enforcement raises with
+    the true send site instead of degrading to a bare NumPy
+    ``ValueError``.  The ledger's findings ship home with the lifecycle
+    shards.
     """
 
-    def __init__(self, channel, watchdog_interval: float) -> None:
+    def __init__(self, channel) -> None:
         from ...sanitize import Sanitizer
 
         self._channel = channel
-        self.watchdog_interval = watchdog_interval
         # Rank-local move/provenance ledger; never finalized (leak
         # reporting is master-side world state).
-        self._local = Sanitizer(strict=False,
-                                watchdog_interval=watchdog_interval)
+        self._local = Sanitizer(strict=False)
 
     def check_collective(self, comm_id, seq, world_rank, op, signature,
                          comm_size) -> None:
@@ -240,27 +205,16 @@ class WorkerSanitizer:
         """Diagnostics recorded by the rank-local ledger (for shipping)."""
         return list(self._local.findings)
 
-    def begin_wait(self, *a, **k) -> None:  # pragma: no cover - unused
-        pass
-
-    def end_wait(self, world_rank) -> None:  # pragma: no cover - unused
-        pass
-
-    def on_stall(self, world_rank) -> None:  # pragma: no cover - unused
-        pass
-
 
 class WorkerContext:
     """Rank-local stand-in for :class:`SpmdContext` inside a worker.
 
-    World-authoritative operations (receive matching, rendezvous, rank
-    status, the node-local store) are RPCs to the master; per-rank
+    World-authoritative operations (receive matching, the blocked
+    receive, rendezvous, rank status, the node-local store) are RPCs
+    to the master, which runs them on its ``SpmdContext``; per-rank
     observability writes go to local copies shipped home as deltas at
-    finalize.  ``remote_recv`` tells the communicator's blocking
-    receive to defer its dead-partner/watchdog protocol to the master.
+    finalize.
     """
-
-    remote_recv = True
 
     def __init__(self, cfg: WorkerConfig, channel, pump) -> None:
         self.world_size = cfg.world_size
@@ -272,10 +226,7 @@ class WorkerContext:
         self.comm_trace = cfg.comm_trace
         self.tracer = cfg.tracer
         self.recorder = cfg.recorder
-        self.sanitizer = (
-            WorkerSanitizer(channel, cfg.watchdog_interval)
-            if cfg.has_sanitizer else None
-        )
+        self.sanitizer = WorkerSanitizer(channel) if cfg.has_sanitizer else None
         self.abort_event = threading.Event()
         self.abort_reason: str | None = None
         self.revoked_below = 0
@@ -297,7 +248,6 @@ class WorkerContext:
             self.revoked_seen = self.revoked_below
         self._channel = channel
         self._pump = pump
-        self._proxies: dict = {}
 
     # -- out-of-band state pushed by the master -------------------------
     def apply_oob(self, msg: tuple) -> None:
@@ -329,22 +279,24 @@ class WorkerContext:
         if self.revoked_below > self.revoked_seen:
             self.revoked_seen = self.revoked_below
 
-    @property
-    def fault_poll_interval(self) -> float | None:
-        if self.resilience is not None:
-            return self.resilience.poll_interval
-        if self.faults is not None:
-            return 0.05
-        return None
-
     # -- message paths ---------------------------------------------------
-    def mailbox(self, comm_id: int, world_rank: int) -> MailboxProxy:
-        key = (comm_id, world_rank)
-        proxy = self._proxies.get(key)
-        if proxy is None:
-            proxy = MailboxProxy(self._channel, comm_id, world_rank)
-            self._proxies[key] = proxy
-        return proxy
+    def try_recv(self, comm_id: int, me: int, source: int,
+                 tag: int) -> Envelope | None:
+        return decode_envelope(self._channel.call(
+            "box_try_get", comm_id, me, source, tag
+        ))
+
+    def blocking_recv(self, comm_id: int, me: int, source: int,
+                      src_world: int, tag: int) -> Envelope:
+        try:
+            return decode_envelope(self._channel.call(
+                "box_get", comm_id, me, source, src_world, tag
+            ))
+        except CommRevokedError:
+            # A blocking wait is a deterministic observation point:
+            # arm this rank's entry-point revocation checks.
+            self.note_revocation_seen(me)
+            raise
 
     def deliver(self, comm_id: int, dest_world: int, source: int, tag: int,
                 envelope: Envelope) -> None:
@@ -378,15 +330,6 @@ class WorkerContext:
     def rank_status(self, world_rank: int) -> str:
         return self._channel.call("rank_status", world_rank)
 
-    def running_world_ranks(self) -> set:
-        return set(self._channel.call("running_world_ranks"))
-
-    def failed_ranks(self) -> list:
-        return list(self._channel.call("failed_ranks"))
-
-    def allocate_comm_id(self) -> int:
-        return self._channel.call("allocate_comm_id")
-
     def abort(self, reason: str) -> None:
         self.abort_reason = reason
         self.abort_event.set()
@@ -417,12 +360,6 @@ class WorkerContext:
         pass
 
     def mark_failed(self, world_rank: int) -> None:
-        pass
-
-    def wake_all_mailboxes(self) -> None:  # pragma: no cover - master-side
-        pass
-
-    def wake_rendezvous(self) -> None:  # pragma: no cover - master-side
         pass
 
 
@@ -851,8 +788,6 @@ class WorldServerMixin:
         self._values = [None] * nprocs
         self._clocks = [None] * nprocs
         self._errors = [None] * nprocs
-        self._members_lock = threading.Lock()
-        self._comm_members = {WORLD_COMM_ID: list(range(nprocs))}
         self._shutdown = threading.Event()
         program = (fn, args, kwargs)
         procs: list = []
@@ -1070,41 +1005,22 @@ class WorldServerMixin:
     # -- RPC dispatch ----------------------------------------------------
     def _dispatch(self, context, link, method: str, args: tuple):
         if method == "box_get":
-            comm_id, world_rank, source, tag = args
-            return encode_envelope(
-                self._blocking_get(context, comm_id, world_rank, source, tag)
-            )
+            return encode_envelope(context.blocking_recv(*args))
         if method == "box_try_get":
-            comm_id, world_rank, source, tag = args
-            return encode_envelope(
-                context.mailbox(comm_id, world_rank).try_get(source, tag)
-            )
-        if method == "box_has":
-            comm_id, world_rank, source, tag = args
-            return context.mailbox(comm_id, world_rank).has(source, tag)
+            return encode_envelope(context.try_recv(*args))
         if method == "split":
             parent_comm_id, seqno, size, rank, value, members, world_rank = args
-            result = context.split_rendezvous(
+            return context.split_rendezvous(
                 parent_comm_id, seqno, size, rank, tuple(value),
                 list(members), world_rank,
             )
-            with self._members_lock:
-                for new_id, world_members, _old in result.values():
-                    self._comm_members[new_id] = list(world_members)
-            return result
         if method == "shrink":
             parent_comm_id, seqno, rank, world_rank, members = args
-            new_id, ordered_old = context.shrink_rendezvous(
+            return context.shrink_rendezvous(
                 parent_comm_id, seqno, rank, world_rank, list(members)
             )
-            with self._members_lock:
-                self._comm_members[new_id] = [members[i] for i in ordered_old]
-            return (new_id, ordered_old)
         if method == "replace":
-            new_id, round_no = context.replace_rendezvous(args[0])
-            with self._members_lock:
-                self._comm_members[new_id] = list(range(context.world_size))
-            return (new_id, round_no)
+            return context.replace_rendezvous(args[0])
         if method == "check_collective":
             comm_id, seq, world_rank, op, signature, comm_size = args
             context.sanitizer.check_collective(
@@ -1113,12 +1029,6 @@ class WorldServerMixin:
             return None
         if method == "rank_status":
             return context.rank_status(args[0])
-        if method == "running_world_ranks":
-            return sorted(context.running_world_ranks())
-        if method == "failed_ranks":
-            return context.failed_ranks()
-        if method == "allocate_comm_id":
-            return context.allocate_comm_id()
         if method == "abort":
             context.abort(args[0])
             return None
@@ -1140,69 +1050,6 @@ class WorldServerMixin:
             return self._finish_rank(context, link, method, payload, shards,
                                      puts_sent, send_failure)
         raise CommunicatorError(f"unknown transport RPC {method!r}")
-
-    def _blocking_get(self, context, comm_id: int, me: int, source: int,
-                      tag: int) -> Envelope:
-        """The canonical blocked receive, run master-side for a worker.
-
-        Mirrors ``Communicator._recv_blocking`` on the threads backend:
-        dead-partner fast-fail with sanitizer diagnosis, revocation
-        checks, and wait-for-graph bookkeeping, all against the
-        master's authoritative world state.
-        """
-        box = context.mailbox(comm_id, me)
-        san = context.sanitizer
-        with self._members_lock:
-            members = self._comm_members.get(comm_id)
-        src_world = members[source] if members is not None else source
-
-        def poll() -> None:
-            status = context.rank_status(src_world)
-            # Mirror of the threads-backend poll: on a revoked epoch,
-            # raise only once the awaited message can never arrive
-            # (partner dead, finalized, or recovering), so the worker's
-            # interrupt point is program-determined and fault traces
-            # replay identically.
-            if (comm_id < context.revoked_below
-                    and not box.has(source, tag)
-                    and (status != "running"
-                         or context.is_recovering(src_world))):
-                context.note_revocation_seen(me)
-                context.check_revoked(comm_id)
-            if status != "running" and not box.has(source, tag):
-                if san is not None:
-                    diag = san.describe_failed_partner(
-                        me, src_world, source, tag, status, box,
-                        expected=(context.faults is not None
-                                  and status == "failed"),
-                    )
-                    raise RankFailedError(diag.message, diagnostic=diag)
-                where = (
-                    f"recv(source={source}, tag={tag})" if tag >= 0
-                    else f"a collective exchange with rank {source}"
-                )
-                raise RankFailedError(
-                    f"rank {me} blocked in {where} "
-                    f"but rank {src_world} already {status}"
-                )
-            if san is not None:
-                san.on_stall(me)
-
-        interval = (
-            san.watchdog_interval if san is not None
-            else context.fault_poll_interval
-        )
-        if san is not None:
-            san.begin_wait(me, src_world, source, tag, comm_id, box)
-        try:
-            poll()  # the partner may already be gone
-            return box.get(
-                source, tag, context.recv_timeout, poll=poll,
-                interval=interval,
-            )
-        finally:
-            if san is not None:
-                san.end_wait(me)
 
     def _finish_rank(self, context, link, method: str, payload,
                      shards: dict, puts_sent: int,

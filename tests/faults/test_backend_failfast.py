@@ -57,6 +57,46 @@ def test_collective_with_crashed_rank_fast_fails(backend):
     assert time.monotonic() - t0 < TIMEOUT / 2
 
 
+def test_split_with_crashed_member_fast_fails(backend):
+    """Members blocked in a split on a member that died wake promptly."""
+
+    def prog(comm):
+        if comm.rank == 0:
+            comm.send(np.ones(4), 1, tag=3)  # injected crash fires here
+        comm.split(color=comm.rank % 2)
+        return comm.rank
+
+    plan = FaultPlan(seed=5, crashes=(CrashRule(rank=0, at_op=1),))
+    t0 = time.monotonic()
+    with pytest.raises(RankFailedError,
+                       match="blocked in split but member rank 0 already"):
+        run_spmd(prog, 3, faults=plan, recv_timeout=TIMEOUT, backend=backend)
+    assert time.monotonic() - t0 < TIMEOUT / 2
+
+
+def test_dead_partner_on_subcommunicator_named_by_world_rank(backend):
+    """A reversed split makes comm ranks differ from world ranks: the
+    dead partner behind comm rank 0 is world rank 2, and the error
+    names world rank 2."""
+
+    def prog(comm):
+        sub = comm.split(color=0, key=-comm.rank)
+        assert sub.rank == comm.size - 1 - comm.rank
+        if sub.rank == 0:
+            sub.send(np.ones(4), 1, tag=3)  # injected crash fires here
+        elif sub.rank == 1:
+            sub.recv(0, tag=3)
+        return comm.rank
+
+    plan = FaultPlan(seed=5, crashes=(CrashRule(rank=2, at_op=1),))
+    t0 = time.monotonic()
+    with pytest.raises(RankFailedError,
+                       match=r"rank 1 blocked in recv\(source=0, tag=3\) "
+                             r"but rank 2 already failed"):
+        run_spmd(prog, 3, faults=plan, recv_timeout=TIMEOUT, backend=backend)
+    assert time.monotonic() - t0 < TIMEOUT / 2
+
+
 def test_survivors_can_shrink_past_the_death(backend):
     """The ULFM-style recovery loop works identically on both backends."""
 

@@ -69,6 +69,20 @@ def test_collective_equivalence_across_backends():
                     assert want == got, (b, rank, key)
 
 
+def test_large_bcast_scatter_allgather(backend):
+    """A 1 MiB bcast on 4 ranks dispatches scatter+allgather; its
+    metadata header must be recognized after crossing a process
+    boundary, so every rank returns the array, not the header."""
+
+    def prog(comm):
+        x = np.arange(1 << 17, dtype=np.float64) if comm.rank == 1 else None
+        got = comm.bcast(x, root=1)
+        return float(got.sum()), got.shape
+
+    res = run_spmd(prog, 4, recv_timeout=30, backend=backend)
+    assert res.values == [(float(np.arange(1 << 17).sum()), (1 << 17,))] * 4
+
+
 def test_sthosvd_bitwise_equivalence_across_backends():
     X = low_rank_tensor((8, 12, 6), (2, 4, 3), rng=9, noise=1e-9)
 
@@ -102,6 +116,47 @@ def test_isend_waitall_ordering(backend):
 
     res = run_spmd(prog, 2, backend=backend)
     assert res[1] == list(range(8))
+
+
+def test_irecv_completion_accounts_the_receive(backend):
+    """A receive completed by irecv — through wait() or test() — is
+    booked exactly like a blocking recv: CommTrace counts it, the
+    flight recorder logs a "recv" event, and a moved payload lands in
+    the sanitizer's move ledger (a write names the origin send)."""
+    from repro.errors import UseAfterMoveError
+    from repro.obs import FlightRecorder
+
+    def prog(comm):
+        if comm.rank == 0:
+            comm.send(np.ones(10), 1, tag=1)
+            comm.send(np.ones(10), 1, tag=2)
+            return None
+        comm.irecv(0, tag=1).wait()
+        req = comm.irecv(0, tag=2)
+        while not req.test()[0]:
+            pass
+        return None
+
+    trace = CommTrace()
+    rec = FlightRecorder()
+    run_spmd(prog, 2, comm_trace=trace, recorder=rec, backend=backend)
+    assert trace.total_recv_messages() == 2
+    assert trace.total_recv_bytes() == 160
+    assert trace.in_flight_messages() == 0
+    recvs = [detail["tag"] for _s, _t, kind, _n, detail in rec.events(1)
+             if kind == "recv"]
+    assert recvs == [1, 2]
+
+    def moved(comm):
+        if comm.rank == 0:
+            comm.send(np.ones(8), dest=1, tag=3, copy=False)
+            return None
+        got = comm.irecv(0, tag=3).wait()
+        got[0] = 5.0  # zero-copy payloads arrive read-only
+        return None
+
+    with pytest.raises(UseAfterMoveError, match="received from rank 0"):
+        run_spmd(moved, 2, sanitize=True, recv_timeout=30, backend=backend)
 
 
 def test_isend_completion_means_staged(backend):
